@@ -42,6 +42,7 @@ from .splitting import (
     StabilityAdvisory,
     StepperConfig,
     nonlinear_phase_step,
+    planewave_deviation,
     run_simulation,
     stability_advisory,
     strang_step,

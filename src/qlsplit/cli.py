@@ -24,9 +24,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
-from .diagnostics import ConvergenceRow, ConvergenceTable, fit_order, mass
+from .diagnostics import ConvergenceRow, ConvergenceTable, fit_order
 from .model import (
     Gaussian,
     InitialCondition,
@@ -36,7 +34,12 @@ from .model import (
     PlaneWave,
 )
 from .spectral import Field, GridSpec, h1_seminorm, l2_norm
-from .splitting import SimulationRecord, StepperConfig, _StepKernel, run_simulation
+from .splitting import (
+    SimulationRecord,
+    StepperConfig,
+    planewave_deviation,
+    run_simulation,
+)
 from .stability import split_step_mode_growth, stability_threshold_scan
 
 __all__ = [
@@ -120,6 +123,19 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return json.dumps(d, indent=2, sort_keys=True)
 
 
+def _one_step_choice(given: dict) -> dict:
+    """Let a step size or a step count given alone replace the other.
+
+    ``n_steps`` defaults to 1000, so without this a ``tau`` given alone
+    would always clash with it.
+    """
+    if given.get("tau") is not None and "n_steps" not in given:
+        given["n_steps"] = None
+    elif given.get("n_steps") is not None and "tau" not in given:
+        given["tau"] = None
+    return given
+
+
 def parse_config(text: str) -> ExperimentConfig:
     try:
         raw = json.loads(text)
@@ -132,7 +148,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
-        return ExperimentConfig(**raw)
+        return ExperimentConfig(**_one_step_choice(raw))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -429,54 +445,6 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def planewave_deviation(
-    a: float,
-    k: int,
-    tau: float,
-    n_steps: int,
-    grid: GridSpec,
-    model: ModelSpec | None = None,
-    perturbation: Perturbation | None = None,
-) -> tuple[float, float]:
-    """March a (possibly perturbed) wave train and track its deviation.
-
-    Returns (max L2 deviation from the exact wave train over all steps,
-    growth factor of the squared-L2 perturbation energy relative to t=0).
-    For an unperturbed start the growth factor is reported as the ratio to
-    the first step's deviation energy (the initial energy is zero).
-    """
-    if model is None:
-        model = ModelSpec.pseudo_attractive()
-    x = grid.nodes
-    u0 = a * np.exp(1j * k * x)
-    if perturbation is not None:
-        u0 = u0 + perturbation.amplitude * np.exp(1j * perturbation.mode * x)
-    fld0 = Field(grid, u0)
-    omega = k * k + a * a
-    energy0 = mass(Field(grid, u0 - a * np.exp(1j * k * x)))
-
-    kernel = _StepKernel(grid, model, tau)
-    f_raw = np.fft.fft(fld0.values)
-    max_dev = 0.0
-    max_energy = energy0
-    first_energy = None
-    for n in range(1, n_steps + 1):
-        f_raw, u = kernel.advance(f_raw)
-        exact = a * np.exp(1j * (k * x - omega * n * tau))
-        dev_field = Field(grid, u - exact)
-        dev = l2_norm(dev_field)
-        max_dev = max(max_dev, dev)
-        energy = dev * dev
-        if first_energy is None:
-            first_energy = energy
-        max_energy = max(max_energy, energy)
-        if not np.isfinite(dev):
-            break
-    base = energy0 if energy0 > 0 else first_energy
-    growth = max_energy / base if base and base > 0 else float("inf")
-    return max_dev, float(growth)
-
-
 def cmd_planewave_check(cfg: ExperimentConfig) -> int:
     """Measure split-step exactness on a wave train, plus perturbed growth."""
     if cfg.wavenumber is None:
@@ -578,7 +546,7 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
             value = _parse_bool(str(value))
         updates[f.name] = value
     if updates:
-        cfg = dataclasses.replace(cfg, **updates)
+        cfg = dataclasses.replace(cfg, **_one_step_choice(updates))
     return cfg
 
 

@@ -64,10 +64,10 @@ from qlsplit import (
     gn_matrix,
     l2_norm,
     nonlinear_phase_step,
+    planewave_deviation,
     run_simulation,
     two_by_two_eigenvalues,
 )
-from qlsplit.cli import planewave_deviation
 
 MODEL = ModelSpec.pseudo_attractive()
 THRESHOLD = np.sqrt(2) / 2

@@ -59,6 +59,10 @@ class TestConfigRoundTrip:
         )
         assert parse_config(serialize_config(cfg)) == cfg
 
+    def test_tau_alone_replaces_the_step_count_default(self):
+        cfg = parse_config('{"tau": 0.001}')
+        assert cfg.tau == 0.001 and cfg.n_steps is None
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             parse_config('{"no_such_field": 1}')
@@ -134,6 +138,17 @@ class TestSimulate:
         sidecar = json.loads((tmp_path / "blow_blowup.json").read_text())
         assert sidecar["trigger"] == "amplitude"
         assert 0 < sidecar["onset_time"] < 0.01
+
+    def test_tau_flag_alone_sets_the_step(self, tmp_path):
+        out = str(tmp_path / "tau")
+        rc = main([
+            "simulate", "--n-points", "64", "--tau", "1e-4", "--t-final", "1e-2",
+            "--record-every", "1", "--output", out,
+        ])
+        assert rc == EXIT_OK
+        rows = read_csv(out + ".csv")[1:]
+        assert len(rows) == 101  # t = 0 and each of the 100 steps
+        assert float(rows[-1][0]) == pytest.approx(1e-2)
 
     def test_cli_overrides(self, tmp_path):
         out = str(tmp_path / "ovr")

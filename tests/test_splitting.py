@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from qlsplit import (
     Field,
@@ -23,6 +24,45 @@ from qlsplit import (
 from conftest import random_field
 
 MODEL = ModelSpec.pseudo_attractive()
+
+
+def reference_states(model, u0, tau, n_steps, mollify_eps=None,
+                     krasny_delta=None, dealias=False):
+    """The original unfused step loop: u_1, ..., u_n, one whole step each.
+
+    Kept as the reference the fused run loop must match bit for bit.
+    """
+    k = u0.grid.wavenumbers.astype(np.float64)
+    k2 = k**2
+    half_kick = np.exp(-1j * k2 * (tau / 2.0))
+    weights = None
+    if mollify_eps is not None:
+        weights = (np.abs(k) <= int(np.floor(1.0 / mollify_eps))).astype(np.float64)
+    if dealias:
+        mask = (np.abs(k) <= u0.grid.n_points // 3).astype(np.float64)
+        weights = mask if weights is None else mask * weights
+    f_raw = np.fft.fft(u0.values)
+    states = []
+    for _ in range(n_steps):
+        u_mid = np.fft.ifft(f_raw * half_kick)
+        s = u_mid.real**2 + u_mid.imag**2
+        v = P.polyval(s, model.f_coeffs)
+        if model.quasilinear_sign != 0:
+            lap = np.fft.ifft(-k2 * np.fft.fft(P.polyval(s, model.g_coeffs))).real
+            v = v + model.quasilinear_sign * P.polyval(s, model.gprime_coeffs) * lap
+        if weights is not None:
+            v = np.fft.ifft(weights * np.fft.fft(v)).real
+        u_mid *= np.exp(-1j * tau * v)
+        f_raw = np.fft.fft(u_mid)
+        if weights is not None:
+            f_raw *= weights
+        f_raw *= half_kick
+        if krasny_delta is not None:
+            mags = np.abs(f_raw)
+            if mags.max() > 0.0:
+                f_raw[mags < krasny_delta * mags.max()] = 0.0
+        states.append(np.fft.ifft(f_raw))
+    return states
 
 
 class TestNonlinearPhaseStep:
@@ -176,6 +216,18 @@ class TestRunSimulation:
         assert rec.snapshots[1][0] == pytest.approx(0.01)
         assert rec.snapshots[1][1].grid.n_points == 64
 
+    def test_snapshot_time_off_the_step_grid_rejected(self):
+        grid = GridSpec(64)
+        cfg = StepperConfig(tau=1e-3, snapshot_times=(0.0104,))
+        with pytest.raises(ValueError, match="snapshot time .* integer multiple"):
+            run_simulation(MODEL, Gaussian(0.2, 0.5), grid, cfg, 0.02)
+
+    def test_snapshot_times_on_one_step_rejected(self):
+        grid = GridSpec(64)
+        cfg = StepperConfig(tau=1e-3, snapshot_times=(0.01, 0.01 + 1e-12))
+        with pytest.raises(ValueError, match="same step"):
+            run_simulation(MODEL, Gaussian(0.2, 0.5), grid, cfg, 0.02)
+
     def test_snapshot_time_outside_run_rejected(self):
         grid = GridSpec(64)
         cfg = StepperConfig(tau=1e-3, snapshot_times=(0.05,))
@@ -216,7 +268,68 @@ class TestRunSimulation:
         assert np.allclose(rec.final_field.values, f.values, atol=1e-13)
 
 
+class TestFusedLoopMatchesReference:
+    @pytest.mark.parametrize(
+        "model, filters",
+        [
+            (MODEL, {}),
+            (MODEL, {"mollify_eps": 0.05}),
+            (MODEL, {"dealias": True}),
+            (MODEL, {"krasny_delta": 1e-6}),
+            (MODEL, {"mollify_eps": 0.05, "dealias": True, "krasny_delta": 1e-6}),
+            (ModelSpec.thin_film(), {}),
+            (ModelSpec.cubic_nls(), {}),
+            (ModelSpec(f_coeffs=(0, 1, 0.5), g_coeffs=(0, 1, 0.25)), {}),
+        ],
+        ids=["plain", "mollify", "dealias", "krasny", "all-filters",
+             "thin-film", "cubic", "polynomial"],
+    )
+    def test_bit_for_bit(self, model, filters):
+        grid = GridSpec(128)
+        tau, n_steps = 1e-3, 300
+        u0 = Field(grid, 0.5 * np.exp(-grid.nodes**2 / (2 * 0.3**2))
+                   * np.exp(1j * np.cos(grid.nodes)))
+        cfg = StepperConfig(
+            tau=tau, record_every=70, snapshot_times=(0.0, 0.013, 0.2), **filters
+        )
+        rec = run_simulation(model, u0, grid, cfg, tau * n_steps)
+        ref = reference_states(model, u0, tau, n_steps, **filters)
+        assert not rec.blew_up
+        assert np.array_equal(rec.final_field.values, ref[-1])
+        assert [round(t / tau) for t, _ in rec.snapshots] == [0, 13, 200]
+        assert np.array_equal(rec.snapshots[0][1].values, u0.values)
+        assert np.array_equal(rec.snapshots[1][1].values, ref[12])
+        assert np.array_equal(rec.snapshots[2][1].values, ref[199])
+        rows = [round(t / tau) for t in rec.times]
+        assert rows == [0, 70, 140, 210, 280, 300]
+        amps = [np.abs(ref[n - 1]).max() for n in rows[1:]]
+        assert np.array_equal(rec.max_amplitude[1:], amps)
+
+    def test_strang_step_is_one_reference_step(self):
+        grid = GridSpec(128)
+        u0 = random_field(grid, np.random.default_rng(7), scale=0.5)
+        out = strang_step(MODEL, u0, StepperConfig(tau=2e-3, krasny_delta=1e-4))
+        ref = reference_states(MODEL, u0, 2e-3, 1, krasny_delta=1e-4)
+        assert np.array_equal(out.values, ref[0])
+
+
 class TestBlowupGuards:
+    def test_rows_above_threshold_only_on_a_trip(self):
+        # the kick reads max|u|^2 every step and every built state is
+        # checked, so no recorded amplitude passes the guard unreported
+        grid = GridSpec(256)
+        for amplitude, factor in [(0.65, 1.8), (0.65, 2.6), (0.2, 1.2)]:
+            cfg = StepperConfig(tau=2e-5, blowup_factor=factor, record_every=7)
+            rec = run_simulation(
+                MODEL, MultiMode(amplitude, (2, 8)), grid, cfg, 0.01
+            )
+            above = rec.max_amplitude > factor * rec.max_amplitude[0]
+            if rec.blew_up:
+                assert not above[:-1].any()
+            else:
+                assert not above.any()
+
+
     def test_amplitude_trigger_multimode(self):
         # the pseudo-attractive large-data run takes off almost immediately
         grid = GridSpec(256)
