@@ -21,7 +21,7 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import typing
 from dataclasses import dataclass
 
 from .diagnostics import ConvergenceRow, ConvergenceTable, fit_order
@@ -37,6 +37,7 @@ from .spectral import Field, GridSpec, h1_seminorm, l2_norm
 from .splitting import (
     SimulationRecord,
     StepperConfig,
+    _step_index,
     planewave_deviation,
     run_simulation,
 )
@@ -59,8 +60,6 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_REFERENCE = 4
 
-WORKERS_ENV = "QLSPLIT_WORKERS"
-
 _MODELS = {
     "pseudo_attractive": ModelSpec.pseudo_attractive,
     "thin_film": ModelSpec.thin_film,
@@ -77,7 +76,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat description of one experiment; JSON keys mirror field names."""
+    """Flat description of one experiment; JSON keys mirror field names.
+
+    The annotations are the only statement of each field's type: flags and
+    JSON values are read by them, so they stay within int, float, bool,
+    str, ``X | None`` and ``tuple[X, ...]``.
+    """
 
     experiment: str = "simulate"
     model: str = "pseudo_attractive"
@@ -107,12 +111,47 @@ class ExperimentConfig:
     growth_tau: float | None = None
     growth_wavenumbers: tuple[int, ...] | None = None
 
-    def __post_init__(self) -> None:
-        for name in ("wavenumbers", "snapshot_times", "nt_ladder",
-                     "amplitude_grid", "growth_wavenumbers"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, tuple(v))
+
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+_FLAG_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+def _typed(name: str, value: object, from_flag: bool = False) -> object:
+    """Read one config value as the ExperimentConfig annotation of ``name`` says.
+
+    A flag value is a string to parse; list fields take comma-separated
+    items.  A JSON value must already have the field's type: an integer
+    field takes no float and no bool, a float field takes any number, a
+    tuple field takes a list, and null is only for ``X | None`` fields.
+    """
+    kind = _FIELD_TYPES[name]
+    if type(None) in typing.get_args(kind):
+        if value is None:
+            return None
+        kind = typing.get_args(kind)[0]
+    if typing.get_origin(kind) is tuple:
+        if from_flag:
+            value = [item for item in value.split(",") if item != ""]
+        elif not isinstance(value, list):
+            raise ConfigError(f"{name} expects a list, got {value!r}")
+        item_kind = typing.get_args(kind)[0]
+        return tuple(_typed_scalar(name, item_kind, v, from_flag) for v in value)
+    return _typed_scalar(name, kind, value, from_flag)
+
+
+def _typed_scalar(name: str, kind: type, value: object, from_flag: bool) -> object:
+    if from_flag:
+        try:
+            return _FLAG_BOOLS[value.strip().lower()] if kind is bool else kind(value)
+        except (KeyError, ValueError):
+            pass
+    # bool is a subclass of int, so it must be told apart from numbers
+    elif isinstance(value, bool) == (kind is bool) and isinstance(
+        value, (int, float) if kind is float else kind
+    ):
+        return kind(value)
+    raise ConfigError(f"{name} expects {kind.__name__}, got {value!r}")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -143,14 +182,11 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        return ExperimentConfig(**_one_step_choice(raw))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    typed = {name: _typed(name, value) for name, value in raw.items()}
+    return ExperimentConfig(**_one_step_choice(typed))
 
 
 def _validate(cfg: ExperimentConfig) -> None:
@@ -162,8 +198,16 @@ def _validate(cfg: ExperimentConfig) -> None:
         )
     if cfg.ic_kind not in _IC_KINDS:
         raise ConfigError(f"unknown ic_kind {cfg.ic_kind!r}")
+    try:
+        GridSpec(cfg.n_points)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.t_final <= 0:
         raise ConfigError(f"t_final must be positive, got {cfg.t_final}")
+    if cfg.amplitude_grid and min(cfg.amplitude_grid) < 0:
+        raise ConfigError(
+            f"amplitude_grid entries must be nonnegative, got {cfg.amplitude_grid}"
+        )
     if cfg.experiment in ("simulate", "planewave_check") and (
         (cfg.tau is None) == (cfg.n_steps is None)
     ):
@@ -179,7 +223,7 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 def _resolve_tau(cfg: ExperimentConfig) -> float:
     if cfg.tau is not None:
-        return float(cfg.tau)
+        return cfg.tau
     if cfg.n_steps is None or cfg.n_steps < 1:
         raise ConfigError(f"n_steps must be a positive integer, got {cfg.n_steps}")
     return cfg.t_final / cfg.n_steps
@@ -192,30 +236,25 @@ def _build_model(cfg: ExperimentConfig) -> ModelSpec:
 def _build_ic(cfg: ExperimentConfig) -> InitialCondition:
     pert = None
     if cfg.perturbation_mode is not None:
-        pert = Perturbation(
-            mode=int(cfg.perturbation_mode),
-            amplitude=float(cfg.perturbation_amplitude),
-        )
-    try:
-        if cfg.ic_kind == "gaussian":
-            if cfg.width is None:
-                raise ConfigError("gaussian initial condition requires width")
-            return Gaussian(cfg.amplitude, cfg.width, perturbation=pert)
-        if cfg.ic_kind == "plane_wave":
-            if cfg.wavenumber is None:
-                raise ConfigError("plane_wave initial condition requires wavenumber")
-            return PlaneWave(cfg.amplitude, int(cfg.wavenumber), perturbation=pert)
-        if cfg.wavenumbers is None:
-            raise ConfigError("multi_mode initial condition requires wavenumbers")
-        return MultiMode(cfg.amplitude, cfg.wavenumbers, perturbation=pert)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        pert = Perturbation(cfg.perturbation_mode, cfg.perturbation_amplitude)
+    if cfg.ic_kind == "gaussian":
+        if cfg.width is None:
+            raise ConfigError("gaussian initial condition requires width")
+        return Gaussian(cfg.amplitude, cfg.width, perturbation=pert)
+    if cfg.ic_kind == "plane_wave":
+        if cfg.wavenumber is None:
+            raise ConfigError("plane_wave initial condition requires wavenumber")
+        return PlaneWave(cfg.amplitude, cfg.wavenumber, perturbation=pert)
+    if cfg.wavenumbers is None:
+        raise ConfigError("multi_mode initial condition requires wavenumbers")
+    return MultiMode(cfg.amplitude, cfg.wavenumbers, perturbation=pert)
 
 
-def _build_stepper(cfg: ExperimentConfig, tau: float,
-                   record_every: int | None = None) -> StepperConfig:
+def _run_once(cfg: ExperimentConfig, tau: float,
+              record_every: int | None = None) -> SimulationRecord:
+    """One run of the configured experiment with step size tau."""
     try:
-        return StepperConfig(
+        stepper = StepperConfig(
             tau=tau,
             mollify_eps=cfg.mollify_eps,
             krasny_delta=cfg.krasny_delta,
@@ -225,18 +264,9 @@ def _build_stepper(cfg: ExperimentConfig, tau: float,
             record_every=record_every if record_every is not None else cfg.record_every,
             snapshot_times=cfg.snapshot_times,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _run_once(cfg: ExperimentConfig, n_steps: int,
-              record_every: int | None = None) -> SimulationRecord:
-    grid = GridSpec(cfg.n_points)
-    tau = cfg.t_final / n_steps
-    stepper = _build_stepper(cfg, tau, record_every)
-    try:
         return run_simulation(
-            _build_model(cfg), _build_ic(cfg), grid, stepper, cfg.t_final
+            _build_model(cfg), _build_ic(cfg), GridSpec(cfg.n_points), stepper,
+            cfg.t_final,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -262,15 +292,7 @@ def _write_snapshot_csv(path: str, fld: Field) -> None:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     """Run one simulation; write diagnostics, snapshots, blow-up sidecar."""
-    tau = _resolve_tau(cfg)
-    grid = GridSpec(cfg.n_points)
-    stepper = _build_stepper(cfg, tau)
-    try:
-        rec = run_simulation(
-            _build_model(cfg), _build_ic(cfg), grid, stepper, cfg.t_final
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    rec = _run_once(cfg, _resolve_tau(cfg))
     _write_diagnostics_csv(cfg.output + ".csv", rec)
     for i, (t, fld) in enumerate(rec.snapshots):
         _write_snapshot_csv(f"{cfg.output}_snapshot_{i:03d}.csv", fld)
@@ -292,24 +314,13 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _ladder_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {workers}")
-    return workers
-
-
 def cmd_converge(cfg: ExperimentConfig) -> int:
     """Run a step-count ladder against a fine reference; fit the order."""
     if not cfg.nt_ladder:
         raise ConfigError("converge requires nt_ladder")
     if cfg.reference_n_steps is None:
         raise ConfigError("converge requires reference_n_steps")
-    ladder = sorted(int(n) for n in cfg.nt_ladder)
+    ladder = sorted(cfg.nt_ladder)
     if len(set(ladder)) != len(ladder) or ladder[0] < 1:
         raise ConfigError(f"nt_ladder entries must be distinct positive, got {ladder}")
     if cfg.reference_n_steps <= ladder[-1]:
@@ -318,18 +329,10 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
             f"({cfg.reference_n_steps} <= {ladder[-1]})"
         )
 
-    runs = ladder + [int(cfg.reference_n_steps)]
-    workers = min(_ladder_workers(), len(runs))
-    results: dict[int, SimulationRecord] = {}
-    if workers == 1:
-        for n in runs:
-            results[n] = _run_once(cfg, n, record_every=n)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                n: pool.submit(_run_once, cfg, n, n) for n in runs
-            }
-            results = {n: fut.result() for n, fut in futures.items()}
+    results = {
+        n: _run_once(cfg, cfg.t_final / n, record_every=n)
+        for n in ladder + [cfg.reference_n_steps]
+    }
 
     reference = results[cfg.reference_n_steps]
     if reference.blew_up:
@@ -450,19 +453,21 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
     if cfg.wavenumber is None:
         raise ConfigError("planewave_check requires wavenumber")
     tau = _resolve_tau(cfg)
-    n_steps = cfg.n_steps if cfg.n_steps is not None else int(
-        round(cfg.t_final / tau)
-    )
-    grid = GridSpec(cfg.n_points)
-    k = int(cfg.wavenumber)
-    model = _build_model(cfg)
-
-    max_dev, _ = planewave_deviation(cfg.amplitude, k, tau, n_steps, grid, model)
+    k = cfg.wavenumber
     pert_mode = cfg.perturbation_mode if cfg.perturbation_mode is not None else k + 1
-    pert = Perturbation(mode=int(pert_mode), amplitude=cfg.perturbation_amplitude)
-    _, growth = planewave_deviation(
-        cfg.amplitude, k, tau, n_steps, grid, model, perturbation=pert
-    )
+    pert = Perturbation(mode=pert_mode, amplitude=cfg.perturbation_amplitude)
+    grid = GridSpec(cfg.n_points)
+    model = _build_model(cfg)
+    try:
+        n_steps = _step_index(cfg.t_final, tau, "t_final")
+        if n_steps < 1:
+            raise ConfigError(f"t_final = {cfg.t_final} holds no step of tau = {tau}")
+        max_dev, _ = planewave_deviation(cfg.amplitude, k, tau, n_steps, grid, model)
+        _, growth = planewave_deviation(
+            cfg.amplitude, k, tau, n_steps, grid, model, perturbation=pert
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     report = {
         "amplitude": cfg.amplitude,
@@ -470,7 +475,7 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
         "tau": tau,
         "n_steps": n_steps,
         "max_l2_deviation": max_dev,
-        "perturbation_mode": int(pert_mode),
+        "perturbation_mode": pert_mode,
         "perturbation_amplitude": cfg.perturbation_amplitude,
         "perturbation_energy_growth": growth,
     }
@@ -490,64 +495,29 @@ _COMMANDS = {
     "planewave_check": cmd_planewave_check,
 }
 
-_INT_FIELDS = {"n_points", "wavenumber", "perturbation_mode", "n_steps",
-               "record_every", "reference_n_steps", "xi_max"}
-_FLOAT_FIELDS = {"amplitude", "width", "perturbation_amplitude", "t_final",
-                 "tau", "mollify_eps", "krasny_delta", "blowup_factor",
-                 "energy_guard_factor", "growth_tau"}
-_INT_LIST_FIELDS = {"wavenumbers", "nt_ladder", "growth_wavenumbers"}
-_FLOAT_LIST_FIELDS = {"snapshot_times", "amplitude_grid"}
-_BOOL_FIELDS = {"dealias"}
-
-
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean flag value, got {raw!r}")
-
-
 def _add_override_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a JSON experiment config")
-    skip = {"experiment"}
     for f in dataclasses.fields(ExperimentConfig):
-        if f.name in skip:
-            continue
-        flag = "--" + f.name.replace("_", "-")
-        if f.name in _INT_LIST_FIELDS or f.name in _FLOAT_LIST_FIELDS:
-            parser.add_argument(flag, default=None,
-                                help=f"comma-separated override for {f.name}")
-        elif f.name in _BOOL_FIELDS:
-            parser.add_argument(flag, default=None,
-                                help=f"true/false override for {f.name}")
-        elif f.name in _INT_FIELDS:
-            parser.add_argument(flag, type=int, default=None)
-        elif f.name in _FLOAT_FIELDS:
-            parser.add_argument(flag, type=float, default=None)
-        else:
-            parser.add_argument(flag, default=None)
+        if f.name != "experiment":
+            # lists are comma-separated, booleans true/false (1/0, yes/no, on/off)
+            parser.add_argument("--" + f.name.replace("_", "-"), help=f.type)
 
 
-def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    updates = {}
-    for f in dataclasses.fields(ExperimentConfig):
-        if f.name == "experiment":
-            continue
-        value = getattr(args, f.name, None)
-        if value is None:
-            continue
-        if f.name in _INT_LIST_FIELDS:
-            value = tuple(int(v) for v in str(value).split(",") if v != "")
-        elif f.name in _FLOAT_LIST_FIELDS:
-            value = tuple(float(v) for v in str(value).split(",") if v != "")
-        elif f.name in _BOOL_FIELDS:
-            value = _parse_bool(str(value))
-        updates[f.name] = value
-    if updates:
-        cfg = dataclasses.replace(cfg, **_one_step_choice(updates))
-    return cfg
+def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The JSON config (or the defaults) with the given flags applied."""
+    if args.config is not None:
+        with open(args.config) as fh:
+            cfg = parse_config(fh.read())
+    else:
+        cfg = ExperimentConfig()
+    updates = {
+        name: _typed(name, getattr(args, name), from_flag=True)
+        for name in _FIELD_TYPES
+        if name != "experiment" and getattr(args, name) is not None
+    }
+    return dataclasses.replace(
+        cfg, experiment=args.command.replace("-", "_"), **_one_step_choice(updates)
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -565,21 +535,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    experiment = args.command.replace("-", "_")
     try:
-        if args.config is not None:
-            with open(args.config) as fh:
-                cfg = parse_config(fh.read())
-        else:
-            cfg = ExperimentConfig()
-        cfg = _apply_overrides(cfg, args)
-        cfg = dataclasses.replace(cfg, experiment=experiment)
+        cfg = _config_from_args(args)
         _validate(cfg)
-        return _COMMANDS[experiment](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+        return _COMMANDS[cfg.experiment](cfg)
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

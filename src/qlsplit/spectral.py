@@ -130,10 +130,6 @@ class Field:
             object.__setattr__(self, "_spectrum_cache", coeffs)
         return self._spectrum_cache
 
-    @classmethod
-    def from_spectrum(cls, grid: GridSpec, coeffs: np.ndarray) -> "Field":
-        return to_physical(coeffs, grid)
-
 
 def to_spectrum(f: Field) -> np.ndarray:
     """Forward DFT: u_hat_k = (1/N) sum_j u_j exp(-i k x_j).

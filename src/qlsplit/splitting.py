@@ -23,6 +23,7 @@ from .model import (
     InitialCondition,
     ModelSpec,
     Perturbation,
+    PlaneWave,
     build_initial_condition,
     potential_field,
 )
@@ -436,18 +437,18 @@ def planewave_deviation(
     growth factor of the squared-L2 perturbation energy relative to t=0).
     For an unperturbed start the growth factor is reported as the ratio to
     the first step's deviation energy (the initial energy is zero).
+    Raises ValueError when k or the perturbation mode is not representable
+    on the grid.
     """
     if model is None:
         model = ModelSpec.pseudo_attractive()
     x = grid.nodes
-    u0 = a * np.exp(1j * k * x)
-    if perturbation is not None:
-        u0 = u0 + perturbation.amplitude * np.exp(1j * perturbation.mode * x)
+    u0 = build_initial_condition(PlaneWave(a, k, perturbation=perturbation), grid)
     omega = k * k + a * a
-    energy0 = diagnostics.mass(Field(grid, u0 - a * np.exp(1j * k * x)))
+    energy0 = diagnostics.mass(Field(grid, u0.values - a * np.exp(1j * k * x)))
 
     kernel = _StepKernel(grid, model, tau)
-    f_raw = np.fft.fft(u0)
+    f_raw = np.fft.fft(u0.values)
     max_dev = 0.0
     max_energy = energy0
     first_energy = None

@@ -1,6 +1,7 @@
 """CLI configs, subcommands, file formats, and exit codes."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -13,10 +14,39 @@ from qlsplit.cli import (
     EXIT_REFERENCE,
     ConfigError,
     ExperimentConfig,
+    _config_from_args,
+    build_parser,
     main,
     parse_config,
     serialize_config,
 )
+
+
+POPULATED = ExperimentConfig(
+    experiment="converge",
+    model="thin_film",
+    n_points=512,
+    ic_kind="multi_mode",
+    amplitude=0.65,
+    wavenumbers=(2, 8),
+    t_final=0.15,
+    tau=None,
+    n_steps=20000,
+    krasny_delta=1e-3,
+    mollify_eps=0.05,
+    dealias=True,
+    blowup_factor=2.0,
+    energy_guard_factor=10.0,
+    snapshot_times=(0.0, 0.05),
+    nt_ladder=(100, 200, 400),
+    reference_n_steps=3200,
+    amplitude_grid=(0.5, 0.9),
+    output="out/run",
+)
+
+
+def config_from_argv(argv: list[str]) -> ExperimentConfig:
+    return _config_from_args(build_parser().parse_args(argv))
 
 
 def write_config(tmp_path, cfg: ExperimentConfig) -> str:
@@ -36,28 +66,33 @@ class TestConfigRoundTrip:
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_populated_round_trip(self):
-        cfg = ExperimentConfig(
-            experiment="converge",
-            model="thin_film",
-            n_points=512,
-            ic_kind="multi_mode",
-            amplitude=0.65,
-            wavenumbers=(2, 8),
-            t_final=0.15,
-            tau=None,
-            n_steps=20000,
-            krasny_delta=1e-3,
-            mollify_eps=0.05,
-            dealias=True,
-            blowup_factor=2.0,
-            energy_guard_factor=10.0,
-            snapshot_times=(0.0, 0.05),
-            nt_ladder=(100, 200, 400),
-            reference_n_steps=3200,
-            amplitude_grid=(0.5, 0.9),
-            output="out/run",
+        assert parse_config(serialize_config(POPULATED)) == POPULATED
+
+    def test_flags_give_the_json_config(self, tmp_path):
+        argv = [POPULATED.experiment]
+        for f in dataclasses.fields(POPULATED):
+            value = getattr(POPULATED, f.name)
+            if f.name == "experiment" or value is None:
+                continue
+            if isinstance(value, tuple):
+                value = ",".join(str(v) for v in value)
+            argv += ["--" + f.name.replace("_", "-"), str(value)]
+        from_json = config_from_argv(
+            [POPULATED.experiment, "--config", write_config(tmp_path, POPULATED)]
         )
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert config_from_argv(argv) == from_json == POPULATED
+
+    @pytest.mark.parametrize("flag, text, expected", [
+        ("--amplitude", ".5", 0.5),
+        ("--tau", "1e-4", 1e-4),
+        ("--nt-ladder", "10,20,", (10, 20)),
+        ("--snapshot-times", "0,.5,", (0.0, 0.5)),
+        *[("--dealias", word, True) for word in ("1", "true", "YES", "on")],
+        *[("--dealias", word, False) for word in ("0", "False", "no", "off")],
+    ])
+    def test_flag_spellings(self, flag, text, expected):
+        cfg = config_from_argv(["simulate", flag, text])
+        assert getattr(cfg, flag[2:].replace("-", "_")) == expected
 
     def test_tau_alone_replaces_the_step_count_default(self):
         cfg = parse_config('{"tau": 0.001}')
@@ -97,6 +132,41 @@ class TestValidation:
     def test_missing_config_file(self):
         rc = main(["simulate", "--config", "/no/such/config.json"])
         assert rc == EXIT_CONFIG
+
+
+SMALL_RUN = ["--n-points", "64", "--n-steps", "10", "--t-final", "0.01"]
+LADDER = ["--nt-ladder", "10,20", "--reference-n-steps", "80", "--t-final", "0.01"]
+PLANE_WAVE = ["planewave-check", "--wavenumber", "1", "--n-points", "64", "--tau", "1e-3", "--t-final", "0.01"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(["converge", "--nt-ladder", "10,x", "--reference-n-steps", "80"],
+                 None, id="flag-int-list-junk"),
+    pytest.param(["simulate", "--snapshot-times", "0.1,abc"], None,
+                 id="flag-float-list-junk"),
+    pytest.param(["simulate", "--n-points", "7"], None, id="simulate-odd-n-points"),
+    pytest.param(["converge", "--n-points", "7", *LADDER], None,
+                 id="converge-odd-n-points"),
+    pytest.param(["stability", "--amplitude-grid", "0.5,-1"], None,
+                 id="negative-amplitude"),
+    pytest.param([*PLANE_WAVE, "--tau", "3e-3"], None, id="planewave-off-step-grid"),
+    pytest.param([*PLANE_WAVE, "--wavenumber", "40"], None,
+                 id="planewave-unrepresentable-wavenumber"),
+    pytest.param(["simulate", *SMALL_RUN], '{"dealias": "false"}', id="json-bool-string"),
+    pytest.param(["simulate", *SMALL_RUN], '{"record_every": 2.5}', id="json-int-float"),
+    pytest.param(["simulate"], '{"n_points": 64.0}', id="json-n-points-float"),
+    pytest.param(["simulate", *SMALL_RUN], '{"record_every": true}', id="json-int-bool"),
+    pytest.param(["simulate", *SMALL_RUN], '{"amplitude": "0.3"}',
+                 id="json-float-string"),
+])
+def test_malformed_input_is_config_error(tmp_path, capsys, argv, config):
+    argv = argv + ["--output", str(tmp_path / "r")]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -235,28 +305,6 @@ class TestConverge:
         )
         rc = main(["converge", "--config", write_config(tmp_path, cfg)])
         assert rc == EXIT_CONFIG
-
-    def test_workers_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QLSPLIT_WORKERS", "2")
-        out = str(tmp_path / "par")
-        cfg = ExperimentConfig(
-            n_points=64, amplitude=0.3, width=0.5, t_final=0.2,
-            tau=None, n_steps=None,
-            nt_ladder=(50, 100, 200), reference_n_steps=800, output=out,
-        )
-        rc = main(["converge", "--config", write_config(tmp_path, cfg)])
-        assert rc == EXIT_OK
-        # deterministic regardless of worker count
-        monkeypatch.setenv("QLSPLIT_WORKERS", "1")
-        out2 = str(tmp_path / "ser")
-        cfg2 = ExperimentConfig(
-            n_points=64, amplitude=0.3, width=0.5, t_final=0.2,
-            tau=None, n_steps=None,
-            nt_ladder=(50, 100, 200), reference_n_steps=800, output=out2,
-        )
-        rc = main(["converge", "--config", write_config(tmp_path, cfg2)])
-        assert rc == EXIT_OK
-        assert read_csv(out + "_table.csv") == read_csv(out2 + "_table.csv")
 
 
 class TestStability:
