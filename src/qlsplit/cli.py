@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import typing
@@ -204,9 +205,15 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(str(exc)) from exc
     if cfg.t_final <= 0:
         raise ConfigError(f"t_final must be positive, got {cfg.t_final}")
-    if cfg.amplitude_grid and min(cfg.amplitude_grid) < 0:
+    if cfg.amplitude_grid and not all(0 <= a < math.inf for a in cfg.amplitude_grid):
         raise ConfigError(
-            f"amplitude_grid entries must be nonnegative, got {cfg.amplitude_grid}"
+            f"amplitude_grid entries must be finite and >= 0, got {cfg.amplitude_grid}"
+        )
+    if cfg.growth_tau is not None and not 0 < cfg.growth_tau < math.inf:
+        raise ConfigError(f"growth_tau must be finite and > 0, got {cfg.growth_tau}")
+    if cfg.growth_wavenumbers and min(cfg.growth_wavenumbers) < 1:
+        raise ConfigError(
+            f"growth_wavenumbers entries must be >= 1, got {cfg.growth_wavenumbers}"
         )
     if cfg.experiment in ("simulate", "planewave_check") and (
         (cfg.tau is None) == (cfg.n_steps is None)

@@ -39,8 +39,8 @@ class PlaneWaveLinearization:
     xi: int
 
     def __post_init__(self) -> None:
-        if self.a < 0:
-            raise ValueError(f"carrier amplitude must be nonnegative, got {self.a}")
+        if not 0 <= self.a < np.inf:
+            raise ValueError(f"carrier amplitude must be finite and >= 0, got {self.a}")
 
 
 @dataclass(frozen=True)
@@ -132,35 +132,25 @@ def two_by_two_eigenvalues(m: np.ndarray) -> np.ndarray:
 def stability_threshold_scan(
     a_grid, xi_max: int, carrier_wavenumber: int = 0
 ) -> list[AmplitudeVerdict]:
-    """Evaluate the modewise instability condition for each amplitude.
+    """Modewise instability verdict over xi = 1..xi_max for each amplitude.
 
-    For every amplitude, checks xi = 1..xi_max and reports whether any
-    mode grows, the fastest-growing xi, and its growth rate max Re(lambda).
-    The carrier wavenumber only Doppler-shifts Im(lambda) and never
-    changes the verdict.
+    The radicand (2a^2 - 1) xi^2 - 2a^2 is negative for every xi when
+    2a^2 <= 1; above that it and the growth rate |xi| sqrt(radicand) increase
+    strictly with xi.  So one closed-form evaluation at xi_max per amplitude
+    is exact, and worst_xi == xi_max whenever the verdict is unstable
+    (growth_rate is then max Re(lambda) there, else 0.0).  The carrier
+    wavenumber only Doppler-shifts Im(lambda) and never changes the verdict.
     """
     if xi_max < 1:
         raise ValueError(f"xi_max must be >= 1, got {xi_max}")
     out = []
     for a in a_grid:
-        worst_xi = None
-        worst_rate = 0.0
-        for xi in range(1, xi_max + 1):
-            lin = PlaneWaveLinearization(a=float(a), k=carrier_wavenumber, xi=xi)
-            growth = gn_eigenvalues(lin)
-            if growth.unstable:
-                rate = max(growth.lambda_plus.real, growth.lambda_minus.real)
-                if rate > worst_rate:
-                    worst_rate = rate
-                    worst_xi = xi
-        out.append(
-            AmplitudeVerdict(
-                amplitude=float(a),
-                unstable=worst_xi is not None,
-                worst_xi=worst_xi,
-                growth_rate=worst_rate,
-            )
+        g = gn_eigenvalues(
+            PlaneWaveLinearization(a=float(a), k=carrier_wavenumber, xi=xi_max)
         )
+        rate = max(g.lambda_plus.real, g.lambda_minus.real) if g.unstable else 0.0
+        worst_xi = xi_max if g.unstable else None
+        out.append(AmplitudeVerdict(float(a), g.unstable, worst_xi, rate))
     return out
 
 

@@ -136,6 +136,8 @@ class TestValidation:
 
 SMALL_RUN = ["--n-points", "64", "--n-steps", "10", "--t-final", "0.01"]
 LADDER = ["--nt-ladder", "10,20", "--reference-n-steps", "80", "--t-final", "0.01"]
+GROWTH = ["stability", "--amplitude-grid", "0.5,0.9", "--growth-tau", "1e-4",
+          "--growth-wavenumbers", "1,2"]
 PLANE_WAVE = ["planewave-check", "--wavenumber", "1", "--n-points", "64", "--tau", "1e-3", "--t-final", "0.01"]
 
 
@@ -149,6 +151,14 @@ PLANE_WAVE = ["planewave-check", "--wavenumber", "1", "--n-points", "64", "--tau
                  id="converge-odd-n-points"),
     pytest.param(["stability", "--amplitude-grid", "0.5,-1"], None,
                  id="negative-amplitude"),
+    pytest.param(["stability", "--amplitude-grid", "nan,0.9"], None,
+                 id="nan-amplitude"),
+    pytest.param(["stability", "--amplitude-grid", "inf,0.9"], None,
+                 id="inf-amplitude"),
+    pytest.param([*GROWTH, "--growth-tau=-1"], None, id="negative-growth-tau"),
+    pytest.param([*GROWTH, "--growth-tau", "0"], None, id="zero-growth-tau"),
+    pytest.param([*GROWTH, "--growth-wavenumbers", "0,1"], None,
+                 id="zero-growth-wavenumber"),
     pytest.param([*PLANE_WAVE, "--tau", "3e-3"], None, id="planewave-off-step-grid"),
     pytest.param([*PLANE_WAVE, "--wavenumber", "40"], None,
                  id="planewave-unrepresentable-wavenumber"),
@@ -167,6 +177,7 @@ def test_malformed_input_is_config_error(tmp_path, capsys, argv, config):
         argv += ["--config", str(path)]
     assert main(argv) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 class TestSimulate:

@@ -16,6 +16,53 @@ from qlsplit import (
 THRESHOLD = np.sqrt(2) / 2
 
 
+def reference_scan(a_grid, xi_max, carrier_wavenumber):
+    """The per-mode loop over xi = 1..xi_max that stability_threshold_scan
+    replaced with one evaluation at xi_max; kept as its reference."""
+    out = []
+    for a in a_grid:
+        worst_xi = None
+        worst_rate = 0.0
+        for xi in range(1, xi_max + 1):
+            lin = PlaneWaveLinearization(a=float(a), k=carrier_wavenumber, xi=xi)
+            growth = gn_eigenvalues(lin)
+            if growth.unstable:
+                rate = max(growth.lambda_plus.real, growth.lambda_minus.real)
+                if rate > worst_rate:
+                    worst_rate = rate
+                    worst_xi = xi
+        out.append((float(a), worst_xi is not None, worst_xi, worst_rate))
+    return out
+
+
+def ulp_neighbours(a: float, n: int) -> list[float]:
+    """a and the n float64 values on either side of it."""
+    below, above = [a], [a]
+    for _ in range(n):
+        below.append(float(np.nextafter(below[-1], -np.inf)))
+        above.append(float(np.nextafter(above[-1], np.inf)))
+    return below[:0:-1] + above
+
+
+def mode_threshold(xi: int) -> float:
+    """a*(xi) = xi / sqrt(2 (xi^2 - 1)), where the radicand at xi vanishes."""
+    return xi / np.sqrt(2.0 * (xi * xi - 1))
+
+
+def scan_amplitudes(xi_max: int) -> list[float]:
+    """+-4 ulp around a*(xi) for xi <= 1024, and values off the thresholds.
+
+    The reference costs one closed-form call per mode, so scans to
+    xi_max >= 128 take every 128th xi plus the five around xi_max; the
+    short scans take every xi.
+    """
+    stride = 1 if xi_max <= 3 else 128
+    xis = set(range(2, 1025, stride)) | set(range(max(2, xi_max - 2), xi_max + 3))
+    special = [0.0, *ulp_neighbours(float(np.sqrt(0.5)), 1), 0.8, 1.0, 3.0, 1e3]
+    near = [a for xi in sorted(xis) for a in ulp_neighbours(mode_threshold(xi), 4)]
+    return special + near
+
+
 def pair_distance(pair_a, pair_b) -> float:
     """Best-matching distance between two eigenvalue pairs (order-free)."""
     (a0, a1), (b0, b1) = pair_a, pair_b
@@ -51,6 +98,13 @@ class TestGnMatrix:
     def test_rejects_negative_amplitude(self):
         with pytest.raises(ValueError):
             PlaneWaveLinearization(a=-0.1, k=0, xi=1)
+
+    @pytest.mark.parametrize("a", [np.nan, np.inf])
+    def test_rejects_non_finite_amplitude(self, a):
+        with pytest.raises(ValueError):
+            PlaneWaveLinearization(a=a, k=0, xi=1)
+        with pytest.raises(ValueError):
+            stability_threshold_scan([0.9, a], xi_max=8)
 
 
 class TestGnEigenvalues:
@@ -173,6 +227,17 @@ class TestThresholdScan:
     def test_rejects_bad_xi_max(self):
         with pytest.raises(ValueError):
             stability_threshold_scan([0.5], xi_max=0)
+
+    @pytest.mark.parametrize("carrier", [0, 3])
+    @pytest.mark.parametrize("xi_max", [1, 2, 3, 128, 1024])
+    def test_matches_per_mode_loop(self, xi_max, carrier):
+        grid = scan_amplitudes(xi_max)
+        got = [
+            (v.amplitude, v.unstable, v.worst_xi, v.growth_rate)
+            for v in stability_threshold_scan(grid, xi_max, carrier)
+        ]
+        want = reference_scan(grid, xi_max, carrier)
+        assert list(map(repr, got)) == list(map(repr, want))
 
 
 class TestSplitStepModeGrowth:
