@@ -26,14 +26,9 @@ from .model import (
 from .spectral import (
     Field,
     GridSpec,
-    apply_mollifier,
-    dealias_two_thirds,
-    free_propagator,
     h1_seminorm,
-    krasny_filter,
     l2_norm,
     spectral_derivative,
-    to_physical,
     to_spectrum,
 )
 from .splitting import (

@@ -203,8 +203,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         GridSpec(cfg.n_points)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.t_final <= 0:
-        raise ConfigError(f"t_final must be positive, got {cfg.t_final}")
+    if not 0 < cfg.t_final < math.inf:
+        raise ConfigError(f"t_final must be finite and positive, got {cfg.t_final}")
     if cfg.amplitude_grid and not all(0 <= a < math.inf for a in cfg.amplitude_grid):
         raise ConfigError(
             f"amplitude_grid entries must be finite and >= 0, got {cfg.amplitude_grid}"

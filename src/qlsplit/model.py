@@ -73,14 +73,8 @@ class ModelSpec:
         if np.max(np.abs(P.polyval(s, self.gprime_coeffs) - fd)) > _GPRIME_CHECK_TOL:
             raise ValueError("gprime_coeffs is not the derivative of g_coeffs")
 
-    def f(self, s: np.ndarray) -> np.ndarray:
-        return P.polyval(s, self.f_coeffs)
-
     def g(self, s: np.ndarray) -> np.ndarray:
         return P.polyval(s, self.g_coeffs)
-
-    def gprime(self, s: np.ndarray) -> np.ndarray:
-        return P.polyval(s, self.gprime_coeffs)
 
     @classmethod
     def pseudo_attractive(cls) -> "ModelSpec":
@@ -159,19 +153,30 @@ def _check_mode(k: int, grid: GridSpec, what: str) -> None:
         )
 
 
-def potential_field(model: ModelSpec, f: Field) -> np.ndarray:
-    """Nodewise real potential f(|u|^2) + sign * g'(|u|^2) * (g(|u|^2))_xx.
+def _potential(model: ModelSpec, s: np.ndarray, neg_k2: np.ndarray) -> np.ndarray:
+    """f(s) + sign * g'(s) * (g(s))_xx for s = |u|^2 on the nodes.
 
-    The second derivative is evaluated spectrally; the (machine-level)
-    imaginary residue of that round trip is discarded.
+    ``neg_k2`` is the second-derivative multiplier -k^2 in FFT order; the
+    Laplacian is a raw FFT round trip whose imaginary residue is dropped.
     """
-    s = f.values.real**2 + f.values.imag**2
-    v = model.f(s)
-    if model.quasilinear_sign != 0:
-        g_field = Field(f.grid, model.g(s))
-        lap = spectral_derivative(g_field, 2).values.real
-        v = v + model.quasilinear_sign * model.gprime(s) * lap
+    if model.f_coeffs == (0.0, 1.0) and model.g_coeffs == (0.0, 1.0):
+        # f(s) = g(s) = s, as in every preset: polyval(s, (0, 1)) is s bit
+        # for bit and g'(s) = 1, so the three polyval calls drop out.
+        v = s
+        if model.quasilinear_sign != 0:
+            lap = np.fft.ifft(neg_k2 * np.fft.fft(s)).real
+            v = s + lap if model.quasilinear_sign > 0 else s - lap
+    else:
+        v = P.polyval(s, model.f_coeffs)
+        if model.quasilinear_sign != 0:
+            lap = np.fft.ifft(neg_k2 * np.fft.fft(P.polyval(s, model.g_coeffs))).real
+            v = v + model.quasilinear_sign * P.polyval(s, model.gprime_coeffs) * lap
     return v
+
+
+def potential_field(model: ModelSpec, f: Field) -> np.ndarray:
+    """Nodewise real potential f(|u|^2) + sign * g'(|u|^2) * (g(|u|^2))_xx."""
+    return _potential(model, f.values.real**2 + f.values.imag**2, -f.grid._k_squared)
 
 
 def exact_plane_wave(a: float, k: int, t: float, grid: GridSpec) -> Field:

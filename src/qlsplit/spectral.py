@@ -18,12 +18,7 @@ __all__ = [
     "GridSpec",
     "Field",
     "to_spectrum",
-    "to_physical",
     "spectral_derivative",
-    "free_propagator",
-    "apply_mollifier",
-    "dealias_two_thirds",
-    "krasny_filter",
     "l2_norm",
     "h1_seminorm",
 ]
@@ -140,18 +135,6 @@ def to_spectrum(f: Field) -> np.ndarray:
     return f.spectrum
 
 
-def to_physical(coeffs: np.ndarray, grid: GridSpec) -> Field:
-    """Inverse DFT: u_j = sum_k u_hat_k exp(i k x_j)."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    if c.shape != (grid.n_points,):
-        raise ValueError(
-            f"coefficient count {c.shape} does not match grid with "
-            f"{grid.n_points} points"
-        )
-    values = np.fft.ifft(c * grid._coeff_phase) * grid.n_points
-    return Field(grid, values)
-
-
 def spectral_derivative(f: Field, order: int) -> Field:
     """Differentiate by scaling mode k with (i*k)**order.
 
@@ -169,12 +152,6 @@ def spectral_derivative(f: Field, order: int) -> Field:
     return Field(f.grid, values)
 
 
-def free_propagator(f: Field, t: float) -> Field:
-    """Exact flow of i u_t = -u_xx over duration t: u_hat_k *= exp(-i k^2 t)."""
-    values = np.fft.ifft(np.exp(-1j * f.grid._k_squared * t) * np.fft.fft(f.values))
-    return Field(f.grid, values)
-
-
 def mollifier_cutoff(eps: float) -> int:
     """Highest retained wavenumber of the frequency cutoff: floor(1/eps)."""
     if eps <= 0:
@@ -182,58 +159,20 @@ def mollifier_cutoff(eps: float) -> int:
     return int(np.floor(1.0 / eps))
 
 
-def apply_mollifier(f: Field, eps: float, taper: bool = False) -> Field:
-    """Project onto wavenumbers |k| <= floor(1/eps).
+def _filter_weights(
+    grid: GridSpec, mollify_eps: float | None, dealias: bool
+) -> np.ndarray | None:
+    """0/1 spectral weights: the cutoff |k| <= floor(1/eps) times the 2/3 mask.
 
-    The default realization is a sharp cutoff, which is idempotent.  With
-    ``taper=True`` a raised-cosine roll-off is applied over the top 10% of
-    the retained band (no longer idempotent; modes near the cutoff are
-    attenuated rather than kept verbatim).
+    The 2/3 rule keeps |k| <= floor(N/3).  None when no mode is removed.
     """
-    kc = mollifier_cutoff(eps)
-    weights = _mollifier_weights(f.grid, kc, taper)
-    if weights is None:  # cutoff at or beyond Nyquist band: identity
-        return f
-    values = np.fft.ifft(weights * np.fft.fft(f.values))
-    return Field(f.grid, values)
-
-
-def _mollifier_weights(grid: GridSpec, kc: int, taper: bool) -> np.ndarray | None:
     kabs = np.abs(grid._k_float)
-    if not taper and kc >= grid.n_points // 2:
-        return None
-    weights = (kabs <= kc).astype(np.float64)
-    if taper and kc >= 1:
-        start = 0.9 * kc
-        band = (kabs > start) & (kabs <= kc)
-        weights[band] = np.cos(0.5 * np.pi * (kabs[band] - start) / (kc - start)) ** 2
-    return weights
-
-
-def dealias_two_thirds(f: Field) -> Field:
-    """Zero all modes with |k| > floor(N/3) (2/3 rule for quadratic products).
-
-    Off by default everywhere; exposed for experiments on aliasing effects.
-    """
-    mask = np.abs(f.grid._k_float) <= f.grid.n_points // 3
-    return Field(f.grid, np.fft.ifft(mask * np.fft.fft(f.values)))
-
-
-def krasny_filter(f: Field, delta: float) -> Field:
-    """Zero every Fourier coefficient below delta times the spectral maximum.
-
-    The maximizing mode is always retained (strict inequality); an all-zero
-    field passes through unchanged.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"krasny delta must lie in (0, 1), got {delta}")
-    raw = np.fft.fft(f.values)
-    mags = np.abs(raw)
-    peak = mags.max()
-    if peak == 0.0:
-        return f
-    raw[mags < delta * peak] = 0.0
-    return Field(f.grid, np.fft.ifft(raw))
+    keep = np.ones(grid.n_points, dtype=bool)
+    if mollify_eps is not None:
+        keep &= kabs <= mollifier_cutoff(mollify_eps)
+    if dealias:
+        keep &= kabs <= grid.n_points // 3
+    return None if keep.all() else keep.astype(np.float64)
 
 
 def l2_norm(f: Field) -> float:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from . import diagnostics
 from .model import (
@@ -24,17 +23,10 @@ from .model import (
     ModelSpec,
     Perturbation,
     PlaneWave,
+    _potential,
     build_initial_condition,
-    potential_field,
 )
-from .spectral import (
-    Field,
-    GridSpec,
-    _mollifier_weights,
-    apply_mollifier,
-    l2_norm,
-    mollifier_cutoff,
-)
+from .spectral import Field, GridSpec, _filter_weights, l2_norm
 
 __all__ = [
     "StepperConfig",
@@ -57,7 +49,8 @@ class StepperConfig:
     backward step can be taken in reversibility checks; the simulation
     driver itself requires tau > 0).  ``mollify_eps`` switches on the
     frequency cutoff at |k| <= floor(1/eps); ``krasny_delta`` switches on
-    the relative spectral floor filter.
+    the relative spectral floor filter.  ``mollify_eps`` and both guard
+    factors must be finite: a NaN factor would switch its guard off.
 
     The blow-up guard trips when the maximum amplitude exceeds
     ``blowup_factor`` times its initial value or turns non-finite.  It
@@ -85,19 +78,24 @@ class StepperConfig:
     def __post_init__(self) -> None:
         if self.tau == 0.0 or not np.isfinite(self.tau):
             raise ValueError(f"tau must be a finite nonzero step, got {self.tau}")
-        if self.mollify_eps is not None and self.mollify_eps <= 0:
-            raise ValueError(f"mollify_eps must be positive, got {self.mollify_eps}")
+        if self.mollify_eps is not None and not 0 < self.mollify_eps < math.inf:
+            raise ValueError(
+                f"mollify_eps must be finite and positive, got {self.mollify_eps}"
+            )
         if self.krasny_delta is not None and not 0.0 < self.krasny_delta < 1.0:
             raise ValueError(
                 f"krasny_delta must lie in (0, 1), got {self.krasny_delta}"
             )
-        if self.blowup_factor <= 1.0:
+        if not 1.0 < self.blowup_factor < math.inf:
             raise ValueError(
-                f"blowup_factor must exceed 1, got {self.blowup_factor}"
+                f"blowup_factor must be finite and exceed 1, got {self.blowup_factor}"
             )
-        if self.energy_guard_factor is not None and self.energy_guard_factor <= 0:
+        if self.energy_guard_factor is not None and not (
+            0 < self.energy_guard_factor < math.inf
+        ):
             raise ValueError(
-                f"energy_guard_factor must be positive, got {self.energy_guard_factor}"
+                "energy_guard_factor must be finite and positive, "
+                f"got {self.energy_guard_factor}"
             )
         if self.record_every < 1:
             raise ValueError(
@@ -164,23 +162,12 @@ class _StepKernel:
         krasny_delta: float | None = None,
         dealias: bool = False,
     ) -> None:
-        self.grid = grid
         self.model = model
         self.tau = tau
         self.neg_k2 = -grid._k_squared
         self.half_kick = np.exp(-1j * grid._k_squared * (tau / 2.0))
-        self.moll_weights = None
-        if mollify_eps is not None:
-            self.moll_weights = _mollifier_weights(
-                grid, mollifier_cutoff(mollify_eps), taper=False
-            )
-        if dealias:
-            mask = (np.abs(grid._k_float) <= grid.n_points // 3).astype(np.float64)
-            self.moll_weights = mask if self.moll_weights is None else mask * self.moll_weights
+        self.moll_weights = _filter_weights(grid, mollify_eps, dealias)
         self.krasny_delta = krasny_delta
-        # f(s) = g(s) = s, as in every preset: polyval(s, (0, 1)) is s bit
-        # for bit and g'(s) = 1, so the three polyval calls drop out.
-        self.identity = model.f_coeffs == (0.0, 1.0) and model.g_coeffs == (0.0, 1.0)
         n = grid.n_points
         self._s = np.empty(n)
         self._work = np.empty(n)
@@ -189,18 +176,8 @@ class _StepKernel:
         self._sin = self._phase.imag
 
     def potential(self, s: np.ndarray) -> np.ndarray:
-        """f(s) + sign * g'(s) * (g(s))_xx with s = |u|^2 on the nodes."""
-        m = self.model
-        if self.identity:
-            v = s
-            if m.quasilinear_sign != 0:
-                lap = np.fft.ifft(self.neg_k2 * np.fft.fft(s)).real
-                v = s + lap if m.quasilinear_sign > 0 else s - lap
-        else:
-            v = P.polyval(s, m.f_coeffs)
-            if m.quasilinear_sign != 0:
-                lap = np.fft.ifft(self.neg_k2 * np.fft.fft(P.polyval(s, m.g_coeffs))).real
-                v = v + m.quasilinear_sign * P.polyval(s, m.gprime_coeffs) * lap
+        """The model potential of s = |u|^2, filtered by the spectral weights."""
+        v = _potential(self.model, s, self.neg_k2)
         if self.moll_weights is not None:
             v = np.fft.ifft(self.moll_weights * np.fft.fft(v)).real
         return v
@@ -248,9 +225,8 @@ def nonlinear_phase_step(
     conserves nodewise), so the map is a pure pointwise phase rotation.
     With ``mollify_eps`` set, the frequency cutoff is applied to V.
     """
-    v = potential_field(model, f)
-    if mollify_eps is not None:
-        v = apply_mollifier(Field(f.grid, v), mollify_eps).values.real
+    s = f.values.real**2 + f.values.imag**2
+    v = _StepKernel(f.grid, model, tau, mollify_eps).potential(s)
     return Field(f.grid, f.values * np.exp(-1j * tau * v))
 
 
@@ -282,6 +258,8 @@ def stability_advisory(tau: float, eps: float) -> StabilityAdvisory:
 def _step_index(t: float, tau: float, what: str) -> int:
     """Number of steps of size tau in t, which must be a step multiple."""
     ratio = t / tau
+    if not math.isfinite(ratio):
+        raise ValueError(f"{what} = {t} is not a finite multiple of tau = {tau}")
     n = int(round(ratio))
     if abs(ratio - n) > 1e-8 * max(1.0, abs(ratio)):
         raise ValueError(f"{what} = {t} is not an integer multiple of tau = {tau}")

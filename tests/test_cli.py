@@ -162,6 +162,17 @@ PLANE_WAVE = ["planewave-check", "--wavenumber", "1", "--n-points", "64", "--tau
     pytest.param([*PLANE_WAVE, "--tau", "3e-3"], None, id="planewave-off-step-grid"),
     pytest.param([*PLANE_WAVE, "--wavenumber", "40"], None,
                  id="planewave-unrepresentable-wavenumber"),
+    pytest.param(["simulate", *SMALL_RUN, "--blowup-factor", "nan"], None,
+                 id="nan-blowup-factor"),
+    pytest.param(["simulate", *SMALL_RUN, "--energy-guard-factor", "nan"], None,
+                 id="nan-energy-guard-factor"),
+    pytest.param(["simulate", *SMALL_RUN, "--mollify-eps", "nan"], None,
+                 id="nan-mollify-eps"),
+    pytest.param(["simulate", "--tau", "1e-3", "--t-final", "inf"], None,
+                 id="simulate-inf-t-final"),
+    pytest.param(["simulate", "--tau", "1e-3", "--t-final", "nan"], None,
+                 id="simulate-nan-t-final"),
+    pytest.param([*PLANE_WAVE, "--t-final", "inf"], None, id="planewave-inf-t-final"),
     pytest.param(["simulate", *SMALL_RUN], '{"dealias": "false"}', id="json-bool-string"),
     pytest.param(["simulate", *SMALL_RUN], '{"record_every": 2.5}', id="json-int-float"),
     pytest.param(["simulate"], '{"n_points": 64.0}', id="json-n-points-float"),

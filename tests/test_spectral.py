@@ -1,4 +1,5 @@
-"""Grid, transform, filter, and norm contracts."""
+"""Grid, transform, derivative and norm contracts, and the spectral parts
+of the Strang step: its free flight, its filter weights and its Krasny floor."""
 
 import numpy as np
 import pytest
@@ -6,17 +7,40 @@ import pytest
 from qlsplit import (
     Field,
     GridSpec,
-    apply_mollifier,
-    free_propagator,
+    ModelSpec,
+    StepperConfig,
     h1_seminorm,
-    krasny_filter,
     l2_norm,
     spectral_derivative,
-    to_physical,
+    strang_step,
     to_spectrum,
 )
+from qlsplit.spectral import _filter_weights
+from qlsplit.splitting import _StepKernel
 
 from conftest import random_field
+
+# V = 0: with this model a Strang step is the free flight plus the filters
+FREE = ModelSpec(f_coeffs=(0.0,), quasilinear_sign=0)
+
+
+def free_flight(f, t):
+    """The step kernel's free flight over t, one half flight of a 2t step."""
+    half_kick = _StepKernel(f.grid, FREE, 2 * t).half_kick
+    return Field(f.grid, np.fft.ifft(half_kick * np.fft.fft(f.values)))
+
+
+def filtered(f, eps=None, dealias=False):
+    """f with the step's filter weights applied to its spectrum."""
+    weights = _filter_weights(f.grid, eps, dealias)
+    if weights is None:
+        return f
+    return Field(f.grid, np.fft.ifft(weights * np.fft.fft(f.values)))
+
+
+def krasny_step(f, delta):
+    """One V = 0 step with the Krasny floor: |u_hat_k| moves only by roundoff."""
+    return strang_step(FREE, f, StepperConfig(tau=1e-3, krasny_delta=delta))
 
 
 class TestGridSpec:
@@ -69,22 +93,6 @@ class TestTransforms:
         assert c[k2] == pytest.approx(0.5, abs=1e-14)
         assert c[km2] == pytest.approx(0.5, abs=1e-14)
 
-    def test_to_physical_zero_and_single_mode(self, grid):
-        zero = to_physical(np.zeros(grid.n_points, dtype=complex), grid)
-        assert np.all(zero.values == 0)
-        c = np.zeros(grid.n_points, dtype=complex)
-        c[list(grid.wavenumbers).index(1)] = 1.0
-        f = to_physical(c, grid)
-        assert np.allclose(f.values, np.exp(1j * grid.nodes), atol=1e-14)
-
-    def test_round_trip_identity(self, grid):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            f = random_field(grid, rng)
-            back = to_physical(to_spectrum(f), grid)
-            rel = np.max(np.abs(back.values - f.values)) / np.max(np.abs(f.values))
-            assert rel < 1e-13
-
     def test_parseval(self, grid):
         rng = np.random.default_rng(8)
         for _ in range(5):
@@ -94,8 +102,6 @@ class TestTransforms:
             assert physical == pytest.approx(spectral, rel=1e-12)
 
     def test_size_mismatch_rejected(self, grid):
-        with pytest.raises(ValueError):
-            to_physical(np.zeros(grid.n_points + 1, dtype=complex), grid)
         with pytest.raises(ValueError):
             Field(grid, np.zeros(grid.n_points - 2))
 
@@ -150,77 +156,64 @@ class TestDerivative:
 class TestFreePropagator:
     def test_zero_time_is_identity(self, grid):
         f = random_field(grid, np.random.default_rng(1))
-        out = free_propagator(f, 0.0)
+        out = free_flight(f, 0.0)
         assert np.allclose(out.values, f.values, atol=1e-15)
 
     def test_single_mode_phase(self, grid):
         f = Field(grid, np.exp(1j * grid.nodes))
-        out = free_propagator(f, np.pi / 2)
+        out = free_flight(f, np.pi / 2)
         assert np.allclose(out.values, -1j * f.values, atol=1e-13)
 
     def test_l2_preserved(self, grid):
         rng = np.random.default_rng(2)
         for _ in range(5):
             f = random_field(grid, rng)
-            assert l2_norm(free_propagator(f, 0.37)) == pytest.approx(
+            assert l2_norm(free_flight(f, 0.37)) == pytest.approx(
                 l2_norm(f), rel=1e-13
             )
 
     def test_composition(self, grid):
         f = random_field(grid, np.random.default_rng(3))
-        once = free_propagator(f, 0.3)
-        twice = free_propagator(free_propagator(f, 0.1), 0.2)
+        once = free_flight(f, 0.3)
+        twice = free_flight(free_flight(f, 0.1), 0.2)
         assert np.allclose(once.values, twice.values, atol=1e-13)
 
 
 class TestMollifier:
     def test_identity_beyond_nyquist(self, grid):
         f = random_field(grid, np.random.default_rng(4))
-        out = apply_mollifier(f, eps=1.0 / grid.n_points)
+        out = filtered(f, eps=1.0 / grid.n_points)
         assert np.allclose(out.values, f.values, atol=1e-15)
 
     def test_sharp_cutoff(self, grid):
         f = Field(grid, np.exp(3j * grid.nodes))
-        out = apply_mollifier(f, eps=0.5)  # cutoff floor(1/0.5) = 2
+        out = filtered(f, eps=0.5)  # cutoff floor(1/0.5) = 2
         assert np.max(np.abs(out.values)) < 1e-13
-        kept = apply_mollifier(Field(grid, np.exp(2j * grid.nodes)), eps=0.5)
+        kept = filtered(Field(grid, np.exp(2j * grid.nodes)), eps=0.5)
         assert np.allclose(kept.values, np.exp(2j * grid.nodes), atol=1e-13)
 
     def test_idempotent(self, grid):
         rng = np.random.default_rng(5)
         f = random_field(grid, rng)
-        once = apply_mollifier(f, eps=0.11)
-        twice = apply_mollifier(once, eps=0.11)
+        once = filtered(f, eps=0.11)
+        twice = filtered(once, eps=0.11)
         assert np.allclose(once.values, twice.values, atol=1e-15)
 
     def test_never_increases_l2(self, grid):
         rng = np.random.default_rng(6)
         for eps in [0.5, 0.2, 0.07]:
             f = random_field(grid, rng)
-            assert l2_norm(apply_mollifier(f, eps)) <= l2_norm(f) * (1 + 1e-12)
-
-    def test_taper_attenuates_top_band(self):
-        g = GridSpec(64)
-        f = random_field(g, np.random.default_rng(11))
-        out = apply_mollifier(f, eps=0.05, taper=True)  # cutoff 20
-        c = np.abs(to_spectrum(out))
-        c_in = np.abs(to_spectrum(f))
-        kabs = np.abs(g.wavenumbers)
-        assert np.all(c[kabs > 20] < 1e-13)
-        band = (kabs > 18) & (kabs <= 20)
-        assert np.all(c[band] < c_in[band])
+            assert l2_norm(filtered(f, eps)) <= l2_norm(f) * (1 + 1e-12)
 
     def test_rejects_bad_eps(self, grid):
         f = random_field(grid, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            apply_mollifier(f, 0.0)
+            filtered(f, 0.0)
 
     def test_two_thirds_dealias(self):
-        from qlsplit import dealias_two_thirds
-
         g = GridSpec(64)
         f = random_field(g, np.random.default_rng(12))
-        out = dealias_two_thirds(f)
+        out = filtered(f, dealias=True)
         c = np.abs(to_spectrum(out))
         kabs = np.abs(g.wavenumbers)
         assert np.all(c[kabs > 21] < 1e-14)  # floor(64/3) = 21
@@ -231,27 +224,24 @@ class TestMollifier:
 class TestKrasnyFilter:
     def test_single_mode_unchanged(self, grid):
         f = Field(grid, 0.3 * np.exp(5j * grid.nodes))
-        out = krasny_filter(f, 0.999)
-        assert np.allclose(out.values, f.values, atol=1e-14)
+        out = krasny_step(f, 0.999)
+        assert np.allclose(out.values, free_flight(f, 1e-3).values, atol=1e-14)
 
     def test_threshold_bookkeeping(self, grid):
         idx = {k: i for i, k in enumerate(grid.wavenumbers)}
-        c = np.zeros(grid.n_points, dtype=complex)
-        c[idx[1]] = 1.0
-        c[idx[4]] = 1e-2
-        c[idx[9]] = 1e-5
-        f = to_physical(c, grid)
-        out = to_spectrum(krasny_filter(f, 1e-3))
+        x = grid.nodes
+        f = Field(grid, np.exp(1j * x) + 1e-2 * np.exp(4j * x) + 1e-5 * np.exp(9j * x))
+        out = np.abs(to_spectrum(krasny_step(f, 1e-3)))
         assert out[idx[1]] == pytest.approx(1.0, abs=1e-13)
         assert out[idx[4]] == pytest.approx(1e-2, abs=1e-14)
         # zeroed in spectrum; round trip back to coefficients leaves roundoff
-        assert abs(out[idx[9]]) < 1e-15
+        assert out[idx[9]] < 1e-15
 
     def test_never_increases_l2_and_keeps_peak(self, grid):
         rng = np.random.default_rng(9)
         for delta in [0.9, 0.3, 1e-3]:
             f = random_field(grid, rng)
-            out = krasny_filter(f, delta)
+            out = krasny_step(f, delta)
             assert l2_norm(out) <= l2_norm(f) * (1 + 1e-12)
             assert np.max(np.abs(to_spectrum(out))) == pytest.approx(
                 np.max(np.abs(to_spectrum(f))), rel=1e-12
@@ -259,13 +249,12 @@ class TestKrasnyFilter:
 
     def test_zero_field_passthrough(self, grid):
         f = Field(grid, np.zeros(grid.n_points))
-        assert np.all(krasny_filter(f, 0.5).values == 0)
+        assert np.all(krasny_step(f, 0.5).values == 0)
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, 2.0])
-    def test_rejects_bad_delta(self, grid, delta):
-        f = random_field(grid, np.random.default_rng(0))
+    def test_rejects_bad_delta(self, delta):
         with pytest.raises(ValueError):
-            krasny_filter(f, delta)
+            StepperConfig(tau=1e-3, krasny_delta=delta)
 
 
 class TestNorms:

@@ -24,6 +24,32 @@ from qlsplit import (
 from conftest import random_field
 
 MODEL = ModelSpec.pseudo_attractive()
+MODELS = [MODEL, ModelSpec.thin_film(), ModelSpec.cubic_nls(),
+          ModelSpec(f_coeffs=(0, 1, 0.5), g_coeffs=(0, 1, 0.25))]
+
+
+def reference_weights(grid, mollify_eps=None, dealias=False):
+    """Cutoff and 2/3 weights, or None when neither filter is on."""
+    k = np.abs(grid.wavenumbers.astype(np.float64))
+    weights = None
+    if mollify_eps is not None:
+        weights = (k <= int(np.floor(1.0 / mollify_eps))).astype(np.float64)
+    if dealias:
+        mask = (k <= grid.n_points // 3).astype(np.float64)
+        weights = mask if weights is None else mask * weights
+    return weights
+
+
+def reference_potential(model, s, grid, weights=None):
+    """The original potential: three polyval calls, then the filter weights."""
+    k2 = grid.wavenumbers.astype(np.float64) ** 2
+    v = P.polyval(s, model.f_coeffs)
+    if model.quasilinear_sign != 0:
+        lap = np.fft.ifft(-k2 * np.fft.fft(P.polyval(s, model.g_coeffs))).real
+        v = v + model.quasilinear_sign * P.polyval(s, model.gprime_coeffs) * lap
+    if weights is not None:
+        v = np.fft.ifft(weights * np.fft.fft(v)).real
+    return v
 
 
 def reference_states(model, u0, tau, n_steps, mollify_eps=None,
@@ -32,27 +58,14 @@ def reference_states(model, u0, tau, n_steps, mollify_eps=None,
 
     Kept as the reference the fused run loop must match bit for bit.
     """
-    k = u0.grid.wavenumbers.astype(np.float64)
-    k2 = k**2
-    half_kick = np.exp(-1j * k2 * (tau / 2.0))
-    weights = None
-    if mollify_eps is not None:
-        weights = (np.abs(k) <= int(np.floor(1.0 / mollify_eps))).astype(np.float64)
-    if dealias:
-        mask = (np.abs(k) <= u0.grid.n_points // 3).astype(np.float64)
-        weights = mask if weights is None else mask * weights
+    half_kick = np.exp(-1j * u0.grid.wavenumbers.astype(np.float64) ** 2 * (tau / 2.0))
+    weights = reference_weights(u0.grid, mollify_eps, dealias)
     f_raw = np.fft.fft(u0.values)
     states = []
     for _ in range(n_steps):
         u_mid = np.fft.ifft(f_raw * half_kick)
         s = u_mid.real**2 + u_mid.imag**2
-        v = P.polyval(s, model.f_coeffs)
-        if model.quasilinear_sign != 0:
-            lap = np.fft.ifft(-k2 * np.fft.fft(P.polyval(s, model.g_coeffs))).real
-            v = v + model.quasilinear_sign * P.polyval(s, model.gprime_coeffs) * lap
-        if weights is not None:
-            v = np.fft.ifft(weights * np.fft.fft(v)).real
-        u_mid *= np.exp(-1j * tau * v)
+        u_mid *= np.exp(-1j * tau * reference_potential(model, s, u0.grid, weights))
         f_raw = np.fft.fft(u_mid)
         if weights is not None:
             f_raw *= weights
@@ -93,6 +106,20 @@ class TestNonlinearPhaseStep:
         assert not np.allclose(plain.values, moll.values)
         dev = np.abs(np.abs(moll.values) - np.abs(f.values))
         assert dev.max() < 1e-15
+
+    @pytest.mark.parametrize("mollify_eps", [None, 0.05, 0.3])
+    @pytest.mark.parametrize("model", MODELS,
+                             ids=["plain", "thin-film", "cubic", "polynomial"])
+    def test_matches_reference_potential(self, model, mollify_eps):
+        rng = np.random.default_rng(31)
+        for n in (64, 256, 1024, 4096):
+            grid = GridSpec(n)
+            u = 1.3 * rng.uniform(0, 1, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+            s = u.real**2 + u.imag**2
+            v = reference_potential(model, s, grid, reference_weights(grid, mollify_eps))
+            for tau in (1e-4, 1e-2, 0.5):
+                out = nonlinear_phase_step(model, Field(grid, u), tau, mollify_eps)
+                assert np.array_equal(out.values, u * np.exp(-1j * tau * v))
 
 
 class TestStrangStep:
@@ -169,6 +196,9 @@ class TestStepperConfigValidation:
             StepperConfig(tau=1e-3, mollify_eps=-1.0)
         with pytest.raises(ValueError):
             StepperConfig(tau=1e-3, krasny_delta=1.5)
+        for eps in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="mollify_eps"):
+                StepperConfig(tau=1e-3, mollify_eps=eps)
 
     def test_rejects_bad_guards(self):
         with pytest.raises(ValueError):
@@ -177,6 +207,12 @@ class TestStepperConfigValidation:
             StepperConfig(tau=1e-3, energy_guard_factor=0.0)
         with pytest.raises(ValueError):
             StepperConfig(tau=1e-3, record_every=0)
+        # a NaN factor fails every comparison, so its guard would never trip
+        for factor in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="blowup_factor"):
+                StepperConfig(tau=1e-3, blowup_factor=factor)
+            with pytest.raises(ValueError, match="energy_guard_factor"):
+                StepperConfig(tau=1e-3, energy_guard_factor=factor)
 
 
 class TestRunSimulation:
@@ -189,6 +225,9 @@ class TestRunSimulation:
         cfg = StepperConfig(tau=1e-3)
         with pytest.raises(ValueError):
             run_simulation(MODEL, Gaussian(0.2, 0.5), grid, cfg, -1.0)
+        for t_final in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="t_final"):
+                run_simulation(MODEL, Gaussian(0.2, 0.5), grid, cfg, t_final)
 
     def test_rejects_nonfinite_initial_data(self, grid):
         cfg = StepperConfig(tau=1e-3)
