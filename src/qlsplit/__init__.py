@@ -29,7 +29,6 @@ from .spectral import (
     h1_seminorm,
     l2_norm,
     spectral_derivative,
-    to_spectrum,
 )
 from .splitting import (
     BlowupReport,
@@ -50,7 +49,6 @@ from .stability import (
     gn_eigenvalues,
     gn_matrix,
     split_step_mode_growth,
-    split_step_update_matrix,
     stability_threshold_scan,
     two_by_two_eigenvalues,
 )

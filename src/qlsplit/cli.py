@@ -67,7 +67,6 @@ _MODELS = {
     "cubic": ModelSpec.cubic_nls,
 }
 
-_EXPERIMENTS = ("simulate", "converge", "stability", "planewave_check")
 _IC_KINDS = ("gaussian", "plane_wave", "multi_mode")
 
 
@@ -191,7 +190,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.experiment not in _EXPERIMENTS:
+    if cfg.experiment not in _COMMANDS:
         raise ConfigError(f"unknown experiment kind {cfg.experiment!r}")
     if cfg.model not in _MODELS:
         raise ConfigError(
@@ -205,6 +204,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(str(exc)) from exc
     if not 0 < cfg.t_final < math.inf:
         raise ConfigError(f"t_final must be finite and positive, got {cfg.t_final}")
+    for name in ("amplitude", "width", "perturbation_amplitude"):
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if cfg.amplitude_grid and not all(0 <= a < math.inf for a in cfg.amplitude_grid):
         raise ConfigError(
             f"amplitude_grid entries must be finite and >= 0, got {cfg.amplitude_grid}"
@@ -215,6 +218,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"growth_wavenumbers entries must be >= 1, got {cfg.growth_wavenumbers}"
         )
+    if cfg.experiment == "stability" and (
+        (cfg.growth_tau is None) != (not cfg.growth_wavenumbers)
+    ):
+        raise ConfigError("growth_tau and growth_wavenumbers must be given together")
     if cfg.experiment in ("simulate", "planewave_check") and (
         (cfg.tau is None) == (cfg.n_steps is None)
     ):
@@ -234,10 +241,6 @@ def _resolve_tau(cfg: ExperimentConfig) -> float:
     if cfg.n_steps is None or cfg.n_steps < 1:
         raise ConfigError(f"n_steps must be a positive integer, got {cfg.n_steps}")
     return cfg.t_final / cfg.n_steps
-
-
-def _build_model(cfg: ExperimentConfig) -> ModelSpec:
-    return _MODELS[cfg.model]()
 
 
 def _build_ic(cfg: ExperimentConfig) -> InitialCondition:
@@ -272,7 +275,7 @@ def _run_once(cfg: ExperimentConfig, tau: float,
             snapshot_times=cfg.snapshot_times,
         )
         return run_simulation(
-            _build_model(cfg), _build_ic(cfg), GridSpec(cfg.n_points), stepper,
+            _MODELS[cfg.model](), _build_ic(cfg), GridSpec(cfg.n_points), stepper,
             cfg.t_final,
         )
     except ValueError as exc:
@@ -431,7 +434,7 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
                 [repr(v.amplitude), int(v.unstable),
                  "" if v.worst_xi is None else v.worst_xi, repr(v.growth_rate)]
             )
-    if cfg.growth_tau is not None and cfg.growth_wavenumbers:
+    if cfg.growth_tau is not None:
         with open(cfg.output + "_multipliers.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
@@ -459,12 +462,14 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
     """Measure split-step exactness on a wave train, plus perturbed growth."""
     if cfg.wavenumber is None:
         raise ConfigError("planewave_check requires wavenumber")
+    if cfg.perturbation_amplitude == 0:
+        raise ConfigError("planewave_check requires a nonzero perturbation_amplitude")
     tau = _resolve_tau(cfg)
     k = cfg.wavenumber
     pert_mode = cfg.perturbation_mode if cfg.perturbation_mode is not None else k + 1
     pert = Perturbation(mode=pert_mode, amplitude=cfg.perturbation_amplitude)
     grid = GridSpec(cfg.n_points)
-    model = _build_model(cfg)
+    model = _MODELS[cfg.model]()
     try:
         n_steps = _step_index(cfg.t_final, tau, "t_final")
         if n_steps < 1:
@@ -534,8 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
         "quasilinear Schrodinger equations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in ("simulate", "converge", "stability", "planewave-check"):
-        p = sub.add_parser(command)
+    for command in _COMMANDS:
+        p = sub.add_parser(command.replace("_", "-"))
         _add_override_args(p)
     return parser
 

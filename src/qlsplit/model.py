@@ -11,7 +11,7 @@ superfluid thin-film model, ``-1`` the superfluid thin-film model and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -32,23 +32,19 @@ __all__ = [
     "pde_residual",
 ]
 
-_GPRIME_CHECK_TOL = 1e-8
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Nonlinearity selection for the quasilinear Schrodinger family.
 
     ``f_coeffs`` and ``g_coeffs`` are polynomial coefficients in s = |u|^2,
-    ascending order.  ``gprime_coeffs`` defaults to the exact derivative of
-    g; if supplied explicitly it is validated against g by central
-    differences.
+    ascending order.  ``gprime_coeffs`` is not an input: it is always the
+    exact derivative of g, ``(0.0,)`` for a constant g.
     """
 
     f_coeffs: tuple[float, ...] = (0.0, 1.0)
     g_coeffs: tuple[float, ...] = (0.0, 1.0)
     quasilinear_sign: int = +1
-    gprime_coeffs: tuple[float, ...] | None = None
+    gprime_coeffs: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.quasilinear_sign not in (-1, 0, 1):
@@ -57,21 +53,8 @@ class ModelSpec:
             )
         object.__setattr__(self, "f_coeffs", tuple(float(c) for c in self.f_coeffs))
         object.__setattr__(self, "g_coeffs", tuple(float(c) for c in self.g_coeffs))
-        if self.gprime_coeffs is None:
-            derived = tuple(float(c) for c in P.polyder(self.g_coeffs))
-            object.__setattr__(self, "gprime_coeffs", derived or (0.0,))
-        else:
-            object.__setattr__(
-                self, "gprime_coeffs", tuple(float(c) for c in self.gprime_coeffs)
-            )
-            self._check_gprime()
-
-    def _check_gprime(self) -> None:
-        s = np.linspace(0.0, 2.0, 17)
-        h = 1e-5
-        fd = (P.polyval(s + h, self.g_coeffs) - P.polyval(s - h, self.g_coeffs)) / (2 * h)
-        if np.max(np.abs(P.polyval(s, self.gprime_coeffs) - fd)) > _GPRIME_CHECK_TOL:
-            raise ValueError("gprime_coeffs is not the derivative of g_coeffs")
+        derived = tuple(float(c) for c in P.polyder(self.g_coeffs))
+        object.__setattr__(self, "gprime_coeffs", derived or (0.0,))
 
     def g(self, s: np.ndarray) -> np.ndarray:
         return P.polyval(s, self.g_coeffs)

@@ -9,7 +9,7 @@ FFT order, aligned with ``GridSpec.wavenumbers``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "Field",
-    "to_spectrum",
     "spectral_derivative",
     "l2_norm",
     "h1_seminorm",
@@ -96,13 +95,10 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Complex-valued state on a grid; immutable, with a lazy spectral view."""
+    """Complex-valued state on a grid; immutable, with a spectral view."""
 
     grid: GridSpec
     values: np.ndarray
-    _spectrum_cache: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.complex128)
@@ -117,22 +113,14 @@ class Field:
 
     @property
     def spectrum(self) -> np.ndarray:
-        """Fourier-series coefficients u_hat_k, aligned with grid.wavenumbers."""
-        if self._spectrum_cache is None:
-            n = self.grid.n_points
-            coeffs = self.grid._coeff_phase * np.fft.fft(self.values) / n
-            coeffs.setflags(write=False)
-            object.__setattr__(self, "_spectrum_cache", coeffs)
-        return self._spectrum_cache
+        """Forward DFT: u_hat_k = (1/N) sum_j u_j exp(-i k x_j).
 
-
-def to_spectrum(f: Field) -> np.ndarray:
-    """Forward DFT: u_hat_k = (1/N) sum_j u_j exp(-i k x_j).
-
-    Returned array is in FFT order (read-only), aligned with
-    ``f.grid.wavenumbers``.
-    """
-    return f.spectrum
+        Computed on each call; the array is in FFT order (read-only),
+        aligned with ``grid.wavenumbers``.
+        """
+        coeffs = self.grid._coeff_phase * np.fft.fft(self.values) / self.grid.n_points
+        coeffs.setflags(write=False)
+        return coeffs
 
 
 def spectral_derivative(f: Field, order: int) -> Field:

@@ -25,6 +25,7 @@ from .model import (
     PlaneWave,
     _potential,
     build_initial_condition,
+    exact_plane_wave,
 )
 from .spectral import Field, GridSpec, _filter_weights, l2_norm
 
@@ -108,22 +109,20 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class BlowupReport:
-    """First guard trip of a run: when, why, and the field at that moment."""
+    """First guard trip: when and why (the field is SimulationRecord.final_field)."""
 
     onset_time: float
     trigger: str  # "amplitude" | "nonfinite" | "energy"
-    final_field: Field
 
 
 @dataclass
 class SimulationRecord:
-    """Diagnostics time series plus optional snapshots and blow-up report."""
+    """Diagnostics series (min_ellipticity derived), snapshots, blow-up report."""
 
     times: np.ndarray
     max_amplitude: np.ndarray
     mass: np.ndarray
     energy: np.ndarray
-    min_ellipticity: np.ndarray
     final_field: Field
     snapshots: list[tuple[float, Field]] = field(default_factory=list)
     blowup: BlowupReport | None = None
@@ -131,6 +130,11 @@ class SimulationRecord:
     @property
     def blew_up(self) -> bool:
         return self.blowup is not None
+
+    @property
+    def min_ellipticity(self) -> np.ndarray:
+        """min_j (1 - 2|u_j|^2), derived from max_amplitude: 1 - 2 max_j |u_j|^2."""
+        return 1.0 - 2.0 * self.max_amplitude * self.max_amplitude
 
 
 @dataclass(frozen=True)
@@ -335,7 +339,6 @@ def run_simulation(
     amps: list[float] = []
     masses: list[float] = []
     energies: list[float] = []
-    ellipticities: list[float] = []
     snapshots: list[tuple[float, Field]] = []
     blowup: BlowupReport | None = None
 
@@ -346,8 +349,6 @@ def run_simulation(
         masses.append(diagnostics.mass(fld))
         e = diagnostics.energy(fld, model)
         energies.append(e)
-        # min_j (1 - 2|u_j|^2) = 1 - 2 max_j |u_j|^2
-        ellipticities.append(1.0 - 2.0 * amp * amp)
         return e
 
     amp0 = float(np.abs(u0.values).max())
@@ -382,9 +383,7 @@ def run_simulation(
             if n in snap_steps:
                 snapshots.append((t, Field(grid, u)))
             if trigger is not None:
-                blowup = BlowupReport(
-                    onset_time=t, trigger=trigger, final_field=Field(grid, u)
-                )
+                blowup = BlowupReport(onset_time=t, trigger=trigger)
                 break
         f *= kernel.half_kick
 
@@ -393,7 +392,6 @@ def run_simulation(
         max_amplitude=np.asarray(amps),
         mass=np.asarray(masses),
         energy=np.asarray(energies),
-        min_ellipticity=np.asarray(ellipticities),
         final_field=Field(grid, u),
         snapshots=snapshots,
         blowup=blowup,
@@ -420,10 +418,10 @@ def planewave_deviation(
     """
     if model is None:
         model = ModelSpec.pseudo_attractive()
-    x = grid.nodes
     u0 = build_initial_condition(PlaneWave(a, k, perturbation=perturbation), grid)
-    omega = k * k + a * a
-    energy0 = diagnostics.mass(Field(grid, u0.values - a * np.exp(1j * k * x)))
+    energy0 = diagnostics.mass(
+        Field(grid, u0.values - exact_plane_wave(a, k, 0.0, grid).values)
+    )
 
     kernel = _StepKernel(grid, model, tau)
     f_raw = np.fft.fft(u0.values)
@@ -432,8 +430,8 @@ def planewave_deviation(
     first_energy = None
     for n in range(1, n_steps + 1):
         f_raw, u = kernel.advance(f_raw)
-        exact = a * np.exp(1j * (k * x - omega * n * tau))
-        dev = l2_norm(Field(grid, u - exact))
+        exact = exact_plane_wave(a, k, n * tau, grid)
+        dev = l2_norm(Field(grid, u - exact.values))
         max_dev = max(max_dev, dev)
         energy = dev * dev
         if first_energy is None:

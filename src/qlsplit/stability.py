@@ -26,7 +26,6 @@ __all__ = [
     "two_by_two_eigenvalues",
     "stability_threshold_scan",
     "split_step_mode_growth",
-    "split_step_update_matrix",
 ]
 
 
@@ -92,10 +91,10 @@ def gn_matrix(lin: PlaneWaveLinearization, dtype=np.complex128) -> np.ndarray:
     return 1j * m
 
 
-def _discriminant(lin: PlaneWaveLinearization, real_dtype=np.longdouble):
-    """xi^2 * (2 a^2 xi^2 - 2 a^2 - xi^2), the radicand of the closed form."""
-    a2 = real_dtype(lin.a) ** 2
-    xi2 = real_dtype(lin.xi) ** 2
+def _discriminant(lin: PlaneWaveLinearization):
+    """2 a^2 xi^2 - 2 a^2 - xi^2, the radicand of the closed form."""
+    a2 = np.longdouble(lin.a) ** 2
+    xi2 = np.longdouble(lin.xi) ** 2
     return 2 * a2 * xi2 - 2 * a2 - xi2
 
 
@@ -129,25 +128,22 @@ def two_by_two_eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.array([half_trace + disc, half_trace - disc], dtype=m.dtype)
 
 
-def stability_threshold_scan(
-    a_grid, xi_max: int, carrier_wavenumber: int = 0
-) -> list[AmplitudeVerdict]:
+def stability_threshold_scan(a_grid, xi_max: int) -> list[AmplitudeVerdict]:
     """Modewise instability verdict over xi = 1..xi_max for each amplitude.
 
     The radicand (2a^2 - 1) xi^2 - 2a^2 is negative for every xi when
     2a^2 <= 1; above that it and the growth rate |xi| sqrt(radicand) increase
     strictly with xi.  So one closed-form evaluation at xi_max per amplitude
     is exact, and worst_xi == xi_max whenever the verdict is unstable
-    (growth_rate is then max Re(lambda) there, else 0.0).  The carrier
-    wavenumber only Doppler-shifts Im(lambda) and never changes the verdict.
+    (growth_rate is then max Re(lambda) there, else 0.0).  The scan takes
+    no carrier wavenumber: k only Doppler-shifts Im(lambda), so no field
+    of the verdict depends on it, and it is evaluated at k = 0.
     """
     if xi_max < 1:
         raise ValueError(f"xi_max must be >= 1, got {xi_max}")
     out = []
     for a in a_grid:
-        g = gn_eigenvalues(
-            PlaneWaveLinearization(a=float(a), k=carrier_wavenumber, xi=xi_max)
-        )
+        g = gn_eigenvalues(PlaneWaveLinearization(a=float(a), k=0, xi=xi_max))
         rate = max(g.lambda_plus.real, g.lambda_minus.real) if g.unstable else 0.0
         worst_xi = xi_max if g.unstable else None
         out.append(AmplitudeVerdict(float(a), g.unstable, worst_xi, rate))
@@ -171,22 +167,4 @@ def split_step_mode_growth(
         multiplier_plus=complex(1.0 + shift),
         multiplier_minus=complex(1.0 - shift),
         growing=bool(radicand > 0),
-    )
-
-
-def split_step_update_matrix(
-    w1: float, w2: float, tau: float, k: int
-) -> np.ndarray:
-    """Explicit one-step update matrix of the frozen-coefficient mode.
-
-    I + tau k^2 [[-2 w1 w2, -(2 w2^2 - 1)], [2 w1^2 - 1, 2 w1 w2]]; its
-    eigenvalues are the split_step_mode_growth multipliers for
-    |w|^2 = w1^2 + w2^2.
-    """
-    c = tau * float(k) ** 2
-    return np.eye(2) + c * np.array(
-        [
-            [-2 * w1 * w2, -(2 * w2 * w2 - 1.0)],
-            [2 * w1 * w1 - 1.0, 2 * w1 * w2],
-        ]
     )

@@ -159,6 +159,10 @@ PLANE_WAVE = ["planewave-check", "--wavenumber", "1", "--n-points", "64", "--tau
     pytest.param([*GROWTH, "--growth-tau", "0"], None, id="zero-growth-tau"),
     pytest.param([*GROWTH, "--growth-wavenumbers", "0,1"], None,
                  id="zero-growth-wavenumber"),
+    pytest.param(["stability", "--amplitude-grid", "0.5", "--growth-tau", "1e-4"],
+                 None, id="growth-tau-alone"),
+    pytest.param(["stability", "--amplitude-grid", "0.5", "--growth-wavenumbers", "1"],
+                 None, id="growth-wavenumbers-alone"),
     pytest.param([*PLANE_WAVE, "--tau", "3e-3"], None, id="planewave-off-step-grid"),
     pytest.param([*PLANE_WAVE, "--wavenumber", "40"], None,
                  id="planewave-unrepresentable-wavenumber"),
@@ -173,6 +177,14 @@ PLANE_WAVE = ["planewave-check", "--wavenumber", "1", "--n-points", "64", "--tau
     pytest.param(["simulate", "--tau", "1e-3", "--t-final", "nan"], None,
                  id="simulate-nan-t-final"),
     pytest.param([*PLANE_WAVE, "--t-final", "inf"], None, id="planewave-inf-t-final"),
+    pytest.param([*PLANE_WAVE, "--amplitude", "nan"], None,
+                 id="planewave-nan-amplitude"),
+    pytest.param([*PLANE_WAVE, "--perturbation-amplitude", "nan"], None,
+                 id="planewave-nan-perturbation-amplitude"),
+    pytest.param([*PLANE_WAVE, "--perturbation-amplitude", "0"], None,
+                 id="planewave-zero-perturbation-amplitude"),
+    pytest.param(["simulate", *SMALL_RUN, "--width", "inf"], None,
+                 id="simulate-inf-width"),
     pytest.param(["simulate", *SMALL_RUN], '{"dealias": "false"}', id="json-bool-string"),
     pytest.param(["simulate", *SMALL_RUN], '{"record_every": 2.5}', id="json-int-float"),
     pytest.param(["simulate"], '{"n_points": 64.0}', id="json-n-points-float"),
@@ -188,7 +200,7 @@ def test_malformed_input_is_config_error(tmp_path, capsys, argv, config):
         argv += ["--config", str(path)]
     assert main(argv) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.csv"))
+    assert not list(tmp_path.glob("r*"))
 
 
 class TestSimulate:

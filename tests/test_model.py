@@ -16,7 +16,6 @@ from qlsplit import (
     exact_plane_wave,
     pde_residual,
     potential_field,
-    to_spectrum,
 )
 
 
@@ -29,12 +28,10 @@ class TestModelSpec:
     def test_gprime_derived_exactly(self):
         m = ModelSpec(g_coeffs=(1.0, 0.0, 3.0, 2.0))  # 1 + 3 s^2 + 2 s^3
         assert m.gprime_coeffs == (0.0, 6.0, 6.0)
-
-    def test_gprime_consistency_checked(self):
-        with pytest.raises(ValueError, match="derivative"):
-            ModelSpec(g_coeffs=(0.0, 1.0), gprime_coeffs=(0.5,))
-        # the genuine derivative passes
-        ModelSpec(g_coeffs=(0.0, 1.0), gprime_coeffs=(1.0,))
+        assert ModelSpec(g_coeffs=(2.0,)).gprime_coeffs == (0.0,)
+        # g' is derived from g, never given
+        with pytest.raises(TypeError):
+            ModelSpec(gprime_coeffs=(1.0,))
 
     @pytest.mark.parametrize("sign", [2, -3, 5])
     def test_sign_validated(self, sign):
@@ -121,7 +118,7 @@ class TestInitialConditions:
     def test_perturbation_seeds_one_mode(self, grid):
         pert = Perturbation(mode=5, amplitude=1e-6)
         f = build_initial_condition(PlaneWave(0.5, 1, perturbation=pert), grid)
-        c = to_spectrum(f)
+        c = f.spectrum
         idx = {k: i for i, k in enumerate(grid.wavenumbers)}
         assert c[idx[5]] == pytest.approx(1e-6, rel=1e-10)
         assert c[idx[1]] == pytest.approx(0.5, rel=1e-12)

@@ -18,7 +18,6 @@ from qlsplit import (
     run_simulation,
     stability_advisory,
     strang_step,
-    to_spectrum,
 )
 
 from conftest import random_field
@@ -166,7 +165,7 @@ class TestStrangStep:
         rng = np.random.default_rng(5)
         f = random_field(grid, rng)
         out = strang_step(MODEL, f, StepperConfig(tau=1e-2, mollify_eps=0.2))
-        c = to_spectrum(out)
+        c = out.spectrum
         beyond = np.abs(grid.wavenumbers) > 5  # floor(1/0.2)
         assert np.max(np.abs(c[beyond])) < 1e-15
 
@@ -174,14 +173,14 @@ class TestStrangStep:
         rng = np.random.default_rng(21)
         f = random_field(grid, rng)
         out = strang_step(MODEL, f, StepperConfig(tau=1e-2, dealias=True))
-        c = to_spectrum(out)
+        c = out.spectrum
         beyond = np.abs(grid.wavenumbers) > grid.n_points // 3
         assert np.max(np.abs(c[beyond])) < 1e-15
 
     def test_krasny_step_floors_small_modes(self, grid):
         f = Field(grid, np.exp(1j * grid.nodes) + 1e-9 * np.exp(5j * grid.nodes))
         out = strang_step(MODEL, f, StepperConfig(tau=1e-3, krasny_delta=1e-6))
-        c = np.abs(to_spectrum(out))
+        c = np.abs(out.spectrum)
         idx = {k: i for i, k in enumerate(grid.wavenumbers)}
         assert c[idx[5]] < 1e-15
 
