@@ -18,12 +18,15 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
 import typing
 from dataclasses import dataclass
+
+import numpy as np
 
 from .diagnostics import ConvergenceRow, ConvergenceTable, fit_order
 from .model import (
@@ -42,7 +45,11 @@ from .splitting import (
     planewave_deviation,
     run_simulation,
 )
-from .stability import split_step_mode_growth, stability_threshold_scan
+from .stability import (
+    SplitStepMultipliers,
+    split_step_mode_growth,
+    stability_threshold_scan,
+)
 
 __all__ = [
     "ConfigError",
@@ -419,6 +426,49 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _growth_multipliers(cfg: ExperimentConfig) -> SplitStepMultipliers:
+    """Multipliers on the (amplitude, growth wavenumber) grid, in one call."""
+    try:
+        w = np.asarray(cfg.amplitude_grid, dtype=np.float64)
+        k = np.asarray(cfg.growth_wavenumbers, dtype=np.float64)
+    except OverflowError as exc:
+        raise ConfigError(f"growth_wavenumbers entry too large: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = split_step_mode_growth(w[:, None], cfg.growth_tau, k[None, :])
+    if not (np.isfinite(growth.multiplier_plus).all()
+            and np.isfinite(growth.multiplier_minus).all()):
+        raise ConfigError(
+            "growth multipliers overflow: 2 w^2 or growth_tau k^2 is not finite "
+            "for some amplitude_grid and growth_wavenumbers entries"
+        )
+    return growth
+
+
+def _write_multipliers_csv(path: str, cfg: ExperimentConfig,
+                           growth: SplitStepMultipliers) -> None:
+    """The rows csv.writer would write, one buffered write per amplitude.
+
+    Every field is a plain number (floats as repr), so no field needs
+    quoting; lines end in CRLF as csv.writer ends them.
+    """
+    tau = repr(cfg.growth_tau)
+    ks = [str(int(k)) for k in cfg.growth_wavenumbers]
+    plus, minus = growth.multiplier_plus, growth.multiplier_minus
+    rows = zip(cfg.amplitude_grid, plus.real, plus.imag, minus.real, minus.imag,
+               growth.growing[:, 0])
+    with open(path, "w", newline="") as fh:
+        fh.write("w,tau,k,mult_plus_re,mult_plus_im,"
+                 "mult_minus_re,mult_minus_im,growing\r\n")
+        # growing depends on w alone, so one flag serves a whole row of k
+        for w, *parts, growing in rows:
+            head = f"{float(w)!r},{tau},"
+            tail = f",{int(growing)}\r\n"
+            fh.write("".join([
+                f"{head}{k},{pr!r},{pi!r},{mr!r},{mi!r}{tail}"
+                for k, pr, pi, mr, mi in zip(ks, *(part.tolist() for part in parts))
+            ]))
+
+
 def cmd_stability(cfg: ExperimentConfig) -> int:
     """Scan carrier amplitudes for modewise instability; optional multipliers."""
     if not cfg.amplitude_grid:
@@ -426,6 +476,7 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
     if cfg.xi_max < 1:
         raise ConfigError(f"xi_max must be >= 1, got {cfg.xi_max}")
     verdicts = stability_threshold_scan(cfg.amplitude_grid, cfg.xi_max)
+    growth = None if cfg.growth_tau is None else _growth_multipliers(cfg)
     with open(cfg.output + "_stability.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["amplitude", "unstable", "worst_xi", "growth_rate"])
@@ -434,22 +485,8 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
                 [repr(v.amplitude), int(v.unstable),
                  "" if v.worst_xi is None else v.worst_xi, repr(v.growth_rate)]
             )
-    if cfg.growth_tau is not None:
-        with open(cfg.output + "_multipliers.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["w", "tau", "k", "mult_plus_re", "mult_plus_im",
-                 "mult_minus_re", "mult_minus_im", "growing"]
-            )
-            for w in cfg.amplitude_grid:
-                for k in cfg.growth_wavenumbers:
-                    g = split_step_mode_growth(w, cfg.growth_tau, int(k))
-                    writer.writerow(
-                        [repr(float(w)), repr(cfg.growth_tau), int(k),
-                         repr(g.multiplier_plus.real), repr(g.multiplier_plus.imag),
-                         repr(g.multiplier_minus.real), repr(g.multiplier_minus.imag),
-                         int(g.growing)]
-                    )
+    if growth is not None:
+        _write_multipliers_csv(cfg.output + "_multipliers.csv", cfg, growth)
     n_unstable = sum(v.unstable for v in verdicts)
     print(
         f"{len(verdicts)} amplitudes scanned, {n_unstable} unstable; "
@@ -532,7 +569,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qlsplit argument parser, built once per process; parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="qlsplit",
         description="Split-step solver and stability toolkit for 1D periodic "

@@ -53,11 +53,14 @@ class ModeGrowth:
 
 @dataclass(frozen=True)
 class SplitStepMultipliers:
-    """Per-step multipliers of a frozen-coefficient split-step mode."""
+    """Per-step multipliers of a frozen-coefficient split-step mode.
 
-    multiplier_plus: complex
-    multiplier_minus: complex
-    growing: bool
+    Scalars for scalar inputs; otherwise arrays of the broadcast shape.
+    """
+
+    multiplier_plus: complex | np.ndarray
+    multiplier_minus: complex | np.ndarray
+    growing: bool | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -150,21 +153,28 @@ def stability_threshold_scan(a_grid, xi_max: int) -> list[AmplitudeVerdict]:
     return out
 
 
-def split_step_mode_growth(
-    w_amplitude: float, tau: float, k: int
-) -> SplitStepMultipliers:
+def split_step_mode_growth(w_amplitude, tau: float, k) -> SplitStepMultipliers:
     """Per-step multipliers 1 +/- tau k^2 sqrt(2|w|^2 - 1) of a frozen mode.
 
     Real pair (exponential growth flagged) when 2|w|^2 > 1; complex
-    conjugate pair on the stable side.
+    conjugate pair on the stable side.  ``w_amplitude`` and ``k`` broadcast
+    against each other as numpy arrays do.  Each element is computed with
+    the operations of the scalar formula in their order (the product with
+    the root is a complex multiply), so it equals the call for that (w, k)
+    alone bit for bit, signed zeros and the inf/nan of an overflow included.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    radicand = 2.0 * w_amplitude * w_amplitude - 1.0
-    root = np.sqrt(complex(radicand))
-    shift = tau * float(k) ** 2 * root
+    w = np.asarray(w_amplitude, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64)
+    radicand = 2.0 * w * w - 1.0
+    root = np.sqrt(radicand.astype(np.complex128))
+    shift = (tau * (k * k)) * root
+    plus = 1.0 + shift
+    growing = np.broadcast_to(radicand > 0, plus.shape)
+    # [()] turns 0-d results into numpy scalars and leaves arrays as they are
     return SplitStepMultipliers(
-        multiplier_plus=complex(1.0 + shift),
-        multiplier_minus=complex(1.0 - shift),
-        growing=bool(radicand > 0),
+        multiplier_plus=plus[()],
+        multiplier_minus=(1.0 - shift)[()],
+        growing=growing[()],
     )

@@ -20,6 +20,7 @@ from qlsplit.cli import (
     parse_config,
     serialize_config,
 )
+from qlsplit.stability import stability_threshold_scan
 
 
 POPULATED = ExperimentConfig(
@@ -163,6 +164,14 @@ PLANE_WAVE = ["planewave-check", "--wavenumber", "1", "--n-points", "64", "--tau
                  None, id="growth-tau-alone"),
     pytest.param(["stability", "--amplitude-grid", "0.5", "--growth-wavenumbers", "1"],
                  None, id="growth-wavenumbers-alone"),
+    pytest.param(["stability", "--amplitude-grid", "0.5,1e200", "--growth-tau", "1e-4",
+                  "--growth-wavenumbers", "1,2"], None, id="growth-amplitude-overflow"),
+    pytest.param(["stability", "--amplitude-grid", "0.5", "--growth-tau", "1e300",
+                  "--growth-wavenumbers", "1000000"], None, id="growth-tau-k2-overflow"),
+    pytest.param([*GROWTH, "--growth-wavenumbers", "1" + "0" * 160], None,
+                 id="growth-wavenumber-square-overflow"),
+    pytest.param([*GROWTH, "--growth-wavenumbers", "1" + "0" * 400], None,
+                 id="growth-wavenumber-beyond-float"),
     pytest.param([*PLANE_WAVE, "--tau", "3e-3"], None, id="planewave-off-step-grid"),
     pytest.param([*PLANE_WAVE, "--wavenumber", "40"], None,
                  id="planewave-unrepresentable-wavenumber"),
@@ -378,6 +387,70 @@ class TestStability:
         rows = read_csv(out + "_multipliers.csv")
         assert float(rows[1][3]) == pytest.approx(1.0256, rel=1e-9)
         assert int(rows[1][7]) == 1
+
+
+def reference_multipliers_csv(prefix, amplitude_grid, xi_max, tau, wavenumbers):
+    """The per-row writer that cmd_stability replaced with one broadcast
+    evaluation and buffered writes, with the scalar multiplier formula it
+    called inlined; kept as its reference."""
+    verdicts = stability_threshold_scan(amplitude_grid, xi_max)
+    with open(prefix + "_stability.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["amplitude", "unstable", "worst_xi", "growth_rate"])
+        for v in verdicts:
+            writer.writerow(
+                [repr(v.amplitude), int(v.unstable),
+                 "" if v.worst_xi is None else v.worst_xi, repr(v.growth_rate)]
+            )
+    with open(prefix + "_multipliers.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["w", "tau", "k", "mult_plus_re", "mult_plus_im",
+             "mult_minus_re", "mult_minus_im", "growing"]
+        )
+        for w in amplitude_grid:
+            for k in wavenumbers:
+                radicand = 2.0 * w * w - 1.0
+                shift = tau * float(k) ** 2 * np.sqrt(complex(radicand))
+                plus, minus = complex(1.0 + shift), complex(1.0 - shift)
+                writer.writerow(
+                    [repr(float(w)), repr(tau), int(k),
+                     repr(plus.real), repr(plus.imag),
+                     repr(minus.real), repr(minus.imag), int(radicand > 0)]
+                )
+
+
+def jittered_scan_grid(seed: int = 8) -> list[float]:
+    """201 amplitudes in [0.69, 0.73], each moved by up to 0.4 of a cell."""
+    rng = np.random.default_rng(seed)
+    step = 0.04 / 200
+    return [0.69 + i * step + float(rng.uniform(-0.4, 0.4)) * step
+            for i in range(201)]
+
+
+THRESHOLD = float(np.sqrt(0.5))
+EDGE_AMPLITUDES = [0.0, float(np.nextafter(THRESHOLD, 0.0)), THRESHOLD,
+                   float(np.nextafter(THRESHOLD, 1.0)), 0.8, 1.0, 3.0, 1e3]
+
+
+@pytest.mark.parametrize("grid, tau, wavenumbers", [
+    pytest.param(jittered_scan_grid(), 1e-4, tuple(range(1, 33)), id="workload-shaped"),
+    pytest.param(EDGE_AMPLITUDES, 1e-4, (1, 2, 32, 1000), id="edges-small-tau"),
+    pytest.param(EDGE_AMPLITUDES, 0.37, (1, 2, 32, 1000), id="edges-large-tau"),
+])
+def test_stability_csvs_match_per_row_writer(tmp_path, grid, tau, wavenumbers):
+    xi_max = 1024
+    want = str(tmp_path / "want")
+    reference_multipliers_csv(want, grid, xi_max, tau, wavenumbers)
+    got = str(tmp_path / "got")
+    rc = main(["stability", "--amplitude-grid", ",".join(repr(a) for a in grid),
+               "--xi-max", str(xi_max), "--growth-tau", repr(tau),
+               "--growth-wavenumbers", ",".join(str(k) for k in wavenumbers),
+               "--output", got])
+    assert rc == EXIT_OK
+    for suffix in ("_stability.csv", "_multipliers.csv"):
+        with open(got + suffix, "rb") as fh_got, open(want + suffix, "rb") as fh_want:
+            assert fh_got.read() == fh_want.read(), suffix
 
 
 class TestPlanewaveCheck:

@@ -263,6 +263,28 @@ class TestSplitStepModeGrowth:
         assert g.multiplier_plus == pytest.approx(1 + 1j * shift, abs=1e-14)
         assert g.multiplier_minus == pytest.approx(1 - 1j * shift, abs=1e-14)
 
+    @pytest.mark.parametrize("tau", [1e-4, 0.37])
+    def test_broadcast_grid_matches_scalar_calls(self, tau):
+        rng = np.random.default_rng(5)
+        special = [0.0, *ulp_neighbours(THRESHOLD, 1), 0.8, 1.0, 3.0, 1e3, 1e200]
+        w = np.array(special + list(rng.uniform(0.69, 0.73, 20)))
+        k = np.array([1, 2, 32, 1000, 10**160], dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = split_step_mode_growth(w[:, None], tau, k[None, :])
+            scalar = [[split_step_mode_growth(a, tau, kk) for kk in k] for a in w]
+
+        def parts(mp, mm, growing):
+            return [repr(float(mp.real)), repr(float(mp.imag)),
+                    repr(float(mm.real)), repr(float(mm.imag)), bool(growing)]
+
+        assert grid.multiplier_plus.shape == grid.growing.shape == (len(w), len(k))
+        for i in range(len(w)):
+            for j in range(len(k)):
+                g = scalar[i][j]
+                assert parts(grid.multiplier_plus[i, j], grid.multiplier_minus[i, j],
+                             grid.growing[i, j]) == parts(
+                    g.multiplier_plus, g.multiplier_minus, g.growing), (w[i], k[j])
+
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
             split_step_mode_growth(1.0, 0.0, 4)
