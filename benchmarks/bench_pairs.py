@@ -28,7 +28,10 @@ from pathlib import Path
 from bench_kernel import commit, machine, numpy_version
 
 ROOT = Path(__file__).resolve().parent.parent
-LOWER_IS_BETTER = {"wall_s", "setup_s", "peak_rss_mb"}
+BETTER = {
+    m["name"]: m["better"]
+    for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+}
 
 
 def seed_range(text: str) -> list[int]:
@@ -70,7 +73,7 @@ def pairs(base: Path, workload: str, seeds: list[int], seconds: float,
     for name in results["base"][0]["metrics"]:
         runs = {side: [r["metrics"][name]["value"] for r in results[side]]
                 for side in sides}
-        sign = -1 if name in LOWER_IS_BETTER else 1
+        sign = 1 if BETTER[name] == "higher" else -1
         wins = sum(sign * (h - b) > 0 for b, h in zip(runs["base"], runs["head"]))
         metrics[name] = {side: spread(runs[side]) for side in sides}
         metrics[name]["head_wins"] = wins
