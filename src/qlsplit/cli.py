@@ -1,13 +1,17 @@
 """Command-line front end: experiment configs, runners, and file writers.
 
-A single flat JSON document describes an experiment; every field can be
-overridden from the command line.  Four subcommands map onto the four
-experiment kinds:
+A single flat JSON document configures a run; every field can be
+overridden from the command line.  The subcommand selects the experiment
+(a config ``experiment`` key is rejected as unknown):
 
     qlsplit simulate        one run, diagnostics CSV (+ snapshots, blow-up JSON)
     qlsplit converge        step-size ladder vs a fine reference, error table
     qlsplit stability       plane-wave threshold scan, verdict CSV
     qlsplit planewave-check exactness and perturbation growth on a wave train
+
+CSV cells, snapshots included, are plain numbers or strings.  A
+planewave-check perturbation whose initial energy is 0 (zero, or so small
+that it underflows) cannot be measured and is a configuration error.
 
 Exit codes: 0 success, 2 configuration error, 3 run halted by the blow-up
 guard, 4 reference-run failure in a convergence study.
@@ -16,7 +20,6 @@ guard, 4 reference-run failure in a convergence study.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -90,7 +93,6 @@ class ExperimentConfig:
     str, ``X | None`` and ``tuple[X, ...]``.
     """
 
-    experiment: str = "simulate"
     model: str = "pseudo_attractive"
     n_points: int = 256
     ic_kind: str = "gaussian"
@@ -162,11 +164,7 @@ def _typed_scalar(name: str, kind: type, value: object, from_flag: bool) -> obje
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    d = dataclasses.asdict(cfg)
-    for key, value in d.items():
-        if isinstance(value, tuple):
-            d[key] = list(value)
-    return json.dumps(d, indent=2, sort_keys=True)
+    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)
 
 
 def _one_step_choice(given: dict) -> dict:
@@ -197,8 +195,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.experiment not in _COMMANDS:
-        raise ConfigError(f"unknown experiment kind {cfg.experiment!r}")
+    """Single-field rules; each command checks its own cross-field rules."""
     if cfg.model not in _MODELS:
         raise ConfigError(
             f"unknown model {cfg.model!r}; choose from {sorted(_MODELS)}"
@@ -225,29 +222,25 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"growth_wavenumbers entries must be >= 1, got {cfg.growth_wavenumbers}"
         )
-    if cfg.experiment == "stability" and (
-        (cfg.growth_tau is None) != (not cfg.growth_wavenumbers)
-    ):
-        raise ConfigError("growth_tau and growth_wavenumbers must be given together")
-    if cfg.experiment in ("simulate", "planewave_check") and (
-        (cfg.tau is None) == (cfg.n_steps is None)
-    ):
-        raise ConfigError("exactly one of tau or n_steps must be given with t_final")
-    if cfg.experiment == "converge" and cfg.tau is not None:
-        raise ConfigError(
-            "converge derives the step size from nt_ladder entries; leave tau unset"
-        )
     out_dir = os.path.dirname(os.path.abspath(cfg.output))
     if not os.path.isdir(out_dir) or not os.access(out_dir, os.W_OK):
         raise ConfigError(f"output directory {out_dir!r} is not writable")
 
 
-def _resolve_tau(cfg: ExperimentConfig) -> float:
-    if cfg.tau is not None:
-        return cfg.tau
-    if cfg.n_steps is None or cfg.n_steps < 1:
+def _resolve_steps(cfg: ExperimentConfig) -> tuple[float, int]:
+    """Step size and step count from exactly one of tau or n_steps."""
+    if (cfg.tau is None) == (cfg.n_steps is None):
+        raise ConfigError("exactly one of tau or n_steps must be given with t_final")
+    if cfg.n_steps is not None and cfg.n_steps < 1:
         raise ConfigError(f"n_steps must be a positive integer, got {cfg.n_steps}")
-    return cfg.t_final / cfg.n_steps
+    tau = cfg.tau if cfg.tau is not None else cfg.t_final / cfg.n_steps
+    try:
+        n_steps = _step_index(cfg.t_final, tau, "t_final")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if n_steps < 1:
+        raise ConfigError(f"t_final = {cfg.t_final} holds no step of tau = {tau}")
+    return tau, n_steps
 
 
 def _build_ic(cfg: ExperimentConfig) -> InitialCondition:
@@ -289,30 +282,32 @@ def _run_once(cfg: ExperimentConfig, tau: float,
         raise ConfigError(str(exc)) from exc
 
 
-def _write_diagnostics_csv(path: str, rec: SimulationRecord) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "max_amp", "mass", "energy", "min_ellipticity"])
-        for row in zip(rec.times, rec.max_amplitude, rec.mass, rec.energy,
-                       rec.min_ellipticity):
-            writer.writerow([repr(float(v)) for v in row])
+def _write_csv(path: str, header: list[str],
+               rows: typing.Iterable[typing.Sequence]) -> None:
+    """Write a table as csv.writer would, for cells that need no quoting.
 
-
-def _write_snapshot_csv(path: str, fld: Field) -> None:
+    Each cell is a Python number or a string, written with str (floats
+    as repr); None is an empty cell.  Lines end in CRLF.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "re_u", "im_u", "abs_u"])
-        for x, u in zip(fld.grid.nodes, fld.values):
-            writer.writerow([repr(float(x)), repr(u.real), repr(u.imag),
-                             repr(abs(u))])
+        fh.writelines(
+            ",".join("" if cell is None else str(cell) for cell in row) + "\r\n"
+            for row in [header, *rows]
+        )
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     """Run one simulation; write diagnostics, snapshots, blow-up sidecar."""
-    rec = _run_once(cfg, _resolve_tau(cfg))
-    _write_diagnostics_csv(cfg.output + ".csv", rec)
+    tau, _ = _resolve_steps(cfg)
+    rec = _run_once(cfg, tau)
+    series = (rec.times, rec.max_amplitude, rec.mass, rec.energy, rec.min_ellipticity)
+    _write_csv(cfg.output + ".csv", ["t", "max_amp", "mass", "energy", "min_ellipticity"],
+               zip(*(column.tolist() for column in series)))
     for i, (t, fld) in enumerate(rec.snapshots):
-        _write_snapshot_csv(f"{cfg.output}_snapshot_{i:03d}.csv", fld)
+        # scalar abs per value: vectorised np.abs differs from it in the last bit
+        _write_csv(f"{cfg.output}_snapshot_{i:03d}.csv", ["x", "re_u", "im_u", "abs_u"],
+                   zip(fld.grid.nodes.tolist(), fld.values.real.tolist(),
+                       fld.values.imag.tolist(), map(abs, fld.values.tolist())))
     if rec.blowup is not None:
         sidecar = {
             "onset_time": rec.blowup.onset_time,
@@ -333,6 +328,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def cmd_converge(cfg: ExperimentConfig) -> int:
     """Run a step-count ladder against a fine reference; fit the order."""
+    if cfg.tau is not None:
+        raise ConfigError(
+            "converge derives the step size from nt_ladder entries; leave tau unset"
+        )
     if not cfg.nt_ladder:
         raise ConfigError("converge requires nt_ladder")
     if cfg.reference_n_steps is None:
@@ -377,14 +376,8 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
         rows.append((n, err_l2, err_h1, "ok"))
         ok_rows.append(ConvergenceRow(n, err_l2, err_h1))
 
-    with open(cfg.output + "_table.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_steps", "err_l2", "err_h1", "status"])
-        for n, e2, e1, status in rows:
-            writer.writerow(
-                [n, "" if e2 is None else repr(e2),
-                 "" if e1 is None else repr(e1), status]
-            )
+    _write_csv(cfg.output + "_table.csv",
+               ["n_steps", "err_l2", "err_h1", "status"], rows)
 
     orders = None
     notice = None
@@ -475,16 +468,19 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
         raise ConfigError("stability requires amplitude_grid")
     if cfg.xi_max < 1:
         raise ConfigError(f"xi_max must be >= 1, got {cfg.xi_max}")
+    if (cfg.growth_tau is None) != (not cfg.growth_wavenumbers):
+        raise ConfigError("growth_tau and growth_wavenumbers must be given together")
     verdicts = stability_threshold_scan(cfg.amplitude_grid, cfg.xi_max)
+    # the rate is exact in extended precision; only its float64 value can overflow
+    if not all(math.isfinite(v.growth_rate) for v in verdicts):
+        raise ConfigError(
+            "growth_rate overflows a float for some amplitude_grid entries at xi_max"
+        )
     growth = None if cfg.growth_tau is None else _growth_multipliers(cfg)
-    with open(cfg.output + "_stability.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["amplitude", "unstable", "worst_xi", "growth_rate"])
-        for v in verdicts:
-            writer.writerow(
-                [repr(v.amplitude), int(v.unstable),
-                 "" if v.worst_xi is None else v.worst_xi, repr(v.growth_rate)]
-            )
+    _write_csv(cfg.output + "_stability.csv",
+               ["amplitude", "unstable", "worst_xi", "growth_rate"],
+               [(v.amplitude, int(v.unstable), v.worst_xi, v.growth_rate)
+                for v in verdicts])
     if growth is not None:
         _write_multipliers_csv(cfg.output + "_multipliers.csv", cfg, growth)
     n_unstable = sum(v.unstable for v in verdicts)
@@ -499,24 +495,24 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
     """Measure split-step exactness on a wave train, plus perturbed growth."""
     if cfg.wavenumber is None:
         raise ConfigError("planewave_check requires wavenumber")
-    if cfg.perturbation_amplitude == 0:
-        raise ConfigError("planewave_check requires a nonzero perturbation_amplitude")
-    tau = _resolve_tau(cfg)
+    tau, n_steps = _resolve_steps(cfg)
     k = cfg.wavenumber
     pert_mode = cfg.perturbation_mode if cfg.perturbation_mode is not None else k + 1
     pert = Perturbation(mode=pert_mode, amplitude=cfg.perturbation_amplitude)
     grid = GridSpec(cfg.n_points)
     model = _MODELS[cfg.model]()
     try:
-        n_steps = _step_index(cfg.t_final, tau, "t_final")
-        if n_steps < 1:
-            raise ConfigError(f"t_final = {cfg.t_final} holds no step of tau = {tau}")
         max_dev, _ = planewave_deviation(cfg.amplitude, k, tau, n_steps, grid, model)
         _, growth = planewave_deviation(
             cfg.amplitude, k, tau, n_steps, grid, model, perturbation=pert
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if growth is None:
+        raise ConfigError(
+            f"perturbation_amplitude = {cfg.perturbation_amplitude} cannot be "
+            "measured: the initial perturbation energy is 0"
+        )
 
     report = {
         "amplitude": cfg.amplitude,
@@ -547,9 +543,8 @@ _COMMANDS = {
 def _add_override_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a JSON experiment config")
     for f in dataclasses.fields(ExperimentConfig):
-        if f.name != "experiment":
-            # lists are comma-separated, booleans true/false (1/0, yes/no, on/off)
-            parser.add_argument("--" + f.name.replace("_", "-"), help=f.type)
+        # lists are comma-separated, booleans true/false (1/0, yes/no, on/off)
+        parser.add_argument("--" + f.name.replace("_", "-"), help=f.type)
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -561,12 +556,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         cfg = ExperimentConfig()
     updates = {
         name: _typed(name, getattr(args, name), from_flag=True)
-        for name in _FIELD_TYPES
-        if name != "experiment" and getattr(args, name) is not None
+        for name in _FIELD_TYPES if getattr(args, name) is not None
     }
-    return dataclasses.replace(
-        cfg, experiment=args.command.replace("-", "_"), **_one_step_choice(updates)
-    )
+    return dataclasses.replace(cfg, **_one_step_choice(updates))
 
 
 @functools.cache
@@ -589,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         _validate(cfg)
-        return _COMMANDS[cfg.experiment](cfg)
+        return _COMMANDS[args.command.replace("-", "_")](cfg)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -406,13 +406,13 @@ def planewave_deviation(
     grid: GridSpec,
     model: ModelSpec | None = None,
     perturbation: Perturbation | None = None,
-) -> tuple[float, float]:
+) -> tuple[float, float | None]:
     """March a (possibly perturbed) wave train and track its deviation.
 
     Returns (max L2 deviation from the exact wave train over all steps,
     growth factor of the squared-L2 perturbation energy relative to t=0).
-    For an unperturbed start the growth factor is reported as the ratio to
-    the first step's deviation energy (the initial energy is zero).
+    The growth factor is None when the start has no perturbation energy:
+    an unperturbed start, or one whose energy underflows to 0.
     Raises ValueError when k or the perturbation mode is not representable
     on the grid.
     """
@@ -427,18 +427,12 @@ def planewave_deviation(
     f_raw = np.fft.fft(u0.values)
     max_dev = 0.0
     max_energy = energy0
-    first_energy = None
     for n in range(1, n_steps + 1):
         f_raw, u = kernel.advance(f_raw)
         exact = exact_plane_wave(a, k, n * tau, grid)
         dev = l2_norm(Field(grid, u - exact.values))
         max_dev = max(max_dev, dev)
-        energy = dev * dev
-        if first_energy is None:
-            first_energy = energy
-        max_energy = max(max_energy, energy)
+        max_energy = max(max_energy, dev * dev)
         if not np.isfinite(dev):
             break
-    base = energy0 if energy0 > 0 else first_energy
-    growth = max_energy / base if base and base > 0 else float("inf")
-    return max_dev, float(growth)
+    return max_dev, max_energy / energy0 if energy0 > 0 else None

@@ -20,11 +20,13 @@ from qlsplit.cli import (
     parse_config,
     serialize_config,
 )
+from qlsplit.model import Gaussian, ModelSpec
+from qlsplit.spectral import GridSpec
+from qlsplit.splitting import StepperConfig, run_simulation
 from qlsplit.stability import stability_threshold_scan
 
 
 POPULATED = ExperimentConfig(
-    experiment="converge",
     model="thin_film",
     n_points=512,
     ic_kind="multi_mode",
@@ -70,16 +72,16 @@ class TestConfigRoundTrip:
         assert parse_config(serialize_config(POPULATED)) == POPULATED
 
     def test_flags_give_the_json_config(self, tmp_path):
-        argv = [POPULATED.experiment]
+        argv = ["converge"]
         for f in dataclasses.fields(POPULATED):
             value = getattr(POPULATED, f.name)
-            if f.name == "experiment" or value is None:
+            if value is None:
                 continue
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
             argv += ["--" + f.name.replace("_", "-"), str(value)]
         from_json = config_from_argv(
-            [POPULATED.experiment, "--config", write_config(tmp_path, POPULATED)]
+            ["converge", "--config", write_config(tmp_path, POPULATED)]
         )
         assert config_from_argv(argv) == from_json == POPULATED
 
@@ -172,6 +174,8 @@ PLANE_WAVE = ["planewave-check", "--wavenumber", "1", "--n-points", "64", "--tau
                  id="growth-wavenumber-square-overflow"),
     pytest.param([*GROWTH, "--growth-wavenumbers", "1" + "0" * 400], None,
                  id="growth-wavenumber-beyond-float"),
+    pytest.param(["stability", "--amplitude-grid", "0.5,1e306", "--xi-max", "1024"],
+                 None, id="scan-growth-rate-overflow"),
     pytest.param([*PLANE_WAVE, "--tau", "3e-3"], None, id="planewave-off-step-grid"),
     pytest.param([*PLANE_WAVE, "--wavenumber", "40"], None,
                  id="planewave-unrepresentable-wavenumber"),
@@ -192,6 +196,9 @@ PLANE_WAVE = ["planewave-check", "--wavenumber", "1", "--n-points", "64", "--tau
                  id="planewave-nan-perturbation-amplitude"),
     pytest.param([*PLANE_WAVE, "--perturbation-amplitude", "0"], None,
                  id="planewave-zero-perturbation-amplitude"),
+    *[pytest.param([*PLANE_WAVE, "--perturbation-amplitude", amp], None,
+                   id=f"planewave-unmeasurable-perturbation-{amp}")
+      for amp in ("1e-200", "1e-170")],
     pytest.param(["simulate", *SMALL_RUN, "--width", "inf"], None,
                  id="simulate-inf-width"),
     pytest.param(["simulate", *SMALL_RUN], '{"dealias": "false"}', id="json-bool-string"),
@@ -200,6 +207,8 @@ PLANE_WAVE = ["planewave-check", "--wavenumber", "1", "--n-points", "64", "--tau
     pytest.param(["simulate", *SMALL_RUN], '{"record_every": true}', id="json-int-bool"),
     pytest.param(["simulate", *SMALL_RUN], '{"amplitude": "0.3"}',
                  id="json-float-string"),
+    pytest.param(["simulate", *SMALL_RUN], '{"experiment": "converge"}',
+                 id="json-experiment-key"),
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, argv, config):
     argv = argv + ["--output", str(tmp_path / "r")]
@@ -233,11 +242,21 @@ class TestSimulate:
         )
         rc = main(["simulate", "--config", write_config(tmp_path, cfg)])
         assert rc == EXIT_OK
-        rows = read_csv(out + "_snapshot_000.csv")
-        assert rows[0] == ["x", "re_u", "im_u", "abs_u"]
-        assert len(rows) == 65
-        x0 = float(rows[1][0])
-        assert x0 == pytest.approx(-np.pi)
+        stepper = StepperConfig(tau=cfg.t_final / cfg.n_steps,
+                                snapshot_times=cfg.snapshot_times)
+        rec = run_simulation(ModelSpec.pseudo_attractive(), Gaussian(0.2, 0.5),
+                             GridSpec(64), stepper, cfg.t_final)
+        assert len(rec.snapshots) == 2
+        for i, (_, fld) in enumerate(rec.snapshots):
+            rows = read_csv(f"{out}_snapshot_{i:03d}.csv")
+            assert rows[0] == ["x", "re_u", "im_u", "abs_u"]
+            assert len(rows) == 65
+            cells = [[float(cell) for cell in row] for row in rows[1:]]
+            assert cells == [
+                [x, u.real, u.imag, abs(u)]
+                for x, u in zip(fld.grid.nodes.tolist(), fld.values.tolist())
+            ]
+        assert cells[0][0] == pytest.approx(-np.pi)
 
     def test_blowup_exit_code_and_sidecar(self, tmp_path):
         out = str(tmp_path / "blow")
