@@ -9,9 +9,11 @@ overridden from the command line.  The subcommand selects the experiment
     qlsplit stability       plane-wave threshold scan, verdict CSV
     qlsplit planewave-check exactness and perturbation growth on a wave train
 
-CSV cells, snapshots included, are plain numbers or strings.  A
-planewave-check perturbation whose initial energy is 0 (zero, or so small
-that it underflows) cannot be measured and is a configuration error.
+Every stepping run takes the step tau = t_final / n_steps; converge takes
+n_steps from each nt_ladder entry.  CSV cells, snapshots included, are
+plain numbers or strings.  A planewave-check perturbation cannot be
+measured, and is a configuration error, unless its L2 norm is more than
+100 times the unperturbed march's max deviation.
 
 Exit codes: 0 success, 2 configuration error, 3 run halted by the blow-up
 guard, 4 reference-run failure in a convergence study.
@@ -44,7 +46,6 @@ from .spectral import Field, GridSpec, h1_seminorm, l2_norm
 from .splitting import (
     SimulationRecord,
     StepperConfig,
-    _step_index,
     planewave_deviation,
     run_simulation,
 )
@@ -103,8 +104,7 @@ class ExperimentConfig:
     perturbation_mode: int | None = None
     perturbation_amplitude: float = 1e-10
     t_final: float = 0.7853981633974483
-    tau: float | None = None
-    n_steps: int | None = 1000
+    n_steps: int = 1000
     mollify_eps: float | None = None
     krasny_delta: float | None = None
     dealias: bool = False
@@ -167,19 +167,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)
 
 
-def _one_step_choice(given: dict) -> dict:
-    """Let a step size or a step count given alone replace the other.
-
-    ``n_steps`` defaults to 1000, so without this a ``tau`` given alone
-    would always clash with it.
-    """
-    if given.get("tau") is not None and "n_steps" not in given:
-        given["n_steps"] = None
-    elif given.get("n_steps") is not None and "tau" not in given:
-        given["tau"] = None
-    return given
-
-
 def parse_config(text: str) -> ExperimentConfig:
     try:
         raw = json.loads(text)
@@ -191,7 +178,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     typed = {name: _typed(name, value) for name, value in raw.items()}
-    return ExperimentConfig(**_one_step_choice(typed))
+    return ExperimentConfig(**typed)
 
 
 def _validate(cfg: ExperimentConfig) -> None:
@@ -208,6 +195,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(str(exc)) from exc
     if not 0 < cfg.t_final < math.inf:
         raise ConfigError(f"t_final must be finite and positive, got {cfg.t_final}")
+    if cfg.n_steps < 1:
+        raise ConfigError(f"n_steps must be a positive integer, got {cfg.n_steps}")
     for name in ("amplitude", "width", "perturbation_amplitude"):
         value = getattr(cfg, name)
         if value is not None and not math.isfinite(value):
@@ -227,22 +216,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"output directory {out_dir!r} is not writable")
 
 
-def _resolve_steps(cfg: ExperimentConfig) -> tuple[float, int]:
-    """Step size and step count from exactly one of tau or n_steps."""
-    if (cfg.tau is None) == (cfg.n_steps is None):
-        raise ConfigError("exactly one of tau or n_steps must be given with t_final")
-    if cfg.n_steps is not None and cfg.n_steps < 1:
-        raise ConfigError(f"n_steps must be a positive integer, got {cfg.n_steps}")
-    tau = cfg.tau if cfg.tau is not None else cfg.t_final / cfg.n_steps
-    try:
-        n_steps = _step_index(cfg.t_final, tau, "t_final")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if n_steps < 1:
-        raise ConfigError(f"t_final = {cfg.t_final} holds no step of tau = {tau}")
-    return tau, n_steps
-
-
 def _build_ic(cfg: ExperimentConfig) -> InitialCondition:
     pert = None
     if cfg.perturbation_mode is not None:
@@ -260,12 +233,12 @@ def _build_ic(cfg: ExperimentConfig) -> InitialCondition:
     return MultiMode(cfg.amplitude, cfg.wavenumbers, perturbation=pert)
 
 
-def _run_once(cfg: ExperimentConfig, tau: float,
+def _run_once(cfg: ExperimentConfig, n_steps: int,
               record_every: int | None = None) -> SimulationRecord:
-    """One run of the configured experiment with step size tau."""
+    """One run of the configured experiment in n_steps steps over t_final."""
     try:
         stepper = StepperConfig(
-            tau=tau,
+            tau=cfg.t_final / n_steps,
             mollify_eps=cfg.mollify_eps,
             krasny_delta=cfg.krasny_delta,
             dealias=cfg.dealias,
@@ -298,8 +271,7 @@ def _write_csv(path: str, header: list[str],
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     """Run one simulation; write diagnostics, snapshots, blow-up sidecar."""
-    tau, _ = _resolve_steps(cfg)
-    rec = _run_once(cfg, tau)
+    rec = _run_once(cfg, cfg.n_steps)
     series = (rec.times, rec.max_amplitude, rec.mass, rec.energy, rec.min_ellipticity)
     _write_csv(cfg.output + ".csv", ["t", "max_amp", "mass", "energy", "min_ellipticity"],
                zip(*(column.tolist() for column in series)))
@@ -314,6 +286,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             "trigger": rec.blowup.trigger,
             "blowup_factor": cfg.blowup_factor,
             "t_final_requested": cfg.t_final,
+            "tau": cfg.t_final / cfg.n_steps,
+            "n_steps": cfg.n_steps,
         }
         with open(cfg.output + "_blowup.json", "w") as fh:
             json.dump(sidecar, fh, indent=2)
@@ -328,10 +302,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def cmd_converge(cfg: ExperimentConfig) -> int:
     """Run a step-count ladder against a fine reference; fit the order."""
-    if cfg.tau is not None:
-        raise ConfigError(
-            "converge derives the step size from nt_ladder entries; leave tau unset"
-        )
     if not cfg.nt_ladder:
         raise ConfigError("converge requires nt_ladder")
     if cfg.reference_n_steps is None:
@@ -346,7 +316,7 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
         )
 
     results = {
-        n: _run_once(cfg, cfg.t_final / n, record_every=n)
+        n: _run_once(cfg, n, record_every=n)
         for n in ladder + [cfg.reference_n_steps]
     }
 
@@ -493,12 +463,13 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
 
 def cmd_planewave_check(cfg: ExperimentConfig) -> int:
     """Measure split-step exactness on a wave train, plus perturbed growth."""
-    if cfg.wavenumber is None:
-        raise ConfigError("planewave_check requires wavenumber")
-    tau, n_steps = _resolve_steps(cfg)
-    k = cfg.wavenumber
-    pert_mode = cfg.perturbation_mode if cfg.perturbation_mode is not None else k + 1
-    pert = Perturbation(mode=pert_mode, amplitude=cfg.perturbation_amplitude)
+    # mode k + 1 would be relative wavenumber 1, neutral at every amplitude
+    for name in ("wavenumber", "perturbation_mode"):
+        if getattr(cfg, name) is None:
+            raise ConfigError(f"planewave_check requires {name}")
+    k, n_steps = cfg.wavenumber, cfg.n_steps
+    tau = cfg.t_final / n_steps
+    pert = Perturbation(mode=cfg.perturbation_mode, amplitude=cfg.perturbation_amplitude)
     grid = GridSpec(cfg.n_points)
     model = _MODELS[cfg.model]()
     try:
@@ -508,10 +479,15 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if growth is None:
+    # with the seed e^{imx} (L2 norm |eps| sqrt(2 pi)) 100x above the march's
+    # own deviation, roundoff moves the growth reading by about 2% at most
+    seed_norm = abs(cfg.perturbation_amplitude) * math.sqrt(2 * math.pi)
+    if growth is None or not seed_norm > 100 * max_dev:
         raise ConfigError(
             f"perturbation_amplitude = {cfg.perturbation_amplitude} cannot be "
-            "measured: the initial perturbation energy is 0"
+            f"measured: its L2 norm {seed_norm:.3e} must exceed 100 times the "
+            f"unperturbed max deviation {max_dev:.3e}, and its energy must not "
+            "underflow to 0"
         )
 
     report = {
@@ -520,7 +496,7 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
         "tau": tau,
         "n_steps": n_steps,
         "max_l2_deviation": max_dev,
-        "perturbation_mode": pert_mode,
+        "perturbation_mode": cfg.perturbation_mode,
         "perturbation_amplitude": cfg.perturbation_amplitude,
         "perturbation_energy_growth": growth,
     }
@@ -558,7 +534,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         name: _typed(name, getattr(args, name), from_flag=True)
         for name in _FIELD_TYPES if getattr(args, name) is not None
     }
-    return dataclasses.replace(cfg, **_one_step_choice(updates))
+    return dataclasses.replace(cfg, **updates)
 
 
 @functools.cache

@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from qlsplit.cli import (
     ConfigError,
     ExperimentConfig,
     _config_from_args,
+    _validate,
     build_parser,
     main,
     parse_config,
@@ -33,7 +36,6 @@ POPULATED = ExperimentConfig(
     amplitude=0.65,
     wavenumbers=(2, 8),
     t_final=0.15,
-    tau=None,
     n_steps=20000,
     krasny_delta=1e-3,
     mollify_eps=0.05,
@@ -87,7 +89,7 @@ class TestConfigRoundTrip:
 
     @pytest.mark.parametrize("flag, text, expected", [
         ("--amplitude", ".5", 0.5),
-        ("--tau", "1e-4", 1e-4),
+        ("--n-steps", "20", 20),
         ("--nt-ladder", "10,20,", (10, 20)),
         ("--snapshot-times", "0,.5,", (0.0, 0.5)),
         *[("--dealias", word, True) for word in ("1", "true", "YES", "on")],
@@ -96,10 +98,6 @@ class TestConfigRoundTrip:
     def test_flag_spellings(self, flag, text, expected):
         cfg = config_from_argv(["simulate", flag, text])
         assert getattr(cfg, flag[2:].replace("-", "_")) == expected
-
-    def test_tau_alone_replaces_the_step_count_default(self):
-        cfg = parse_config('{"tau": 0.001}')
-        assert cfg.tau == 0.001 and cfg.n_steps is None
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -111,16 +109,21 @@ class TestConfigRoundTrip:
 
 
 class TestValidation:
-    def test_both_tau_and_n_steps_is_config_error(self, tmp_path, capsys):
-        cfg = ExperimentConfig(tau=1e-3, n_steps=100, output=str(tmp_path / "r"))
-        rc = main(["simulate", "--config", write_config(tmp_path, cfg)])
-        assert rc == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
-
     def test_neither_tau_nor_n_steps(self, tmp_path):
-        cfg = ExperimentConfig(tau=None, n_steps=None, output=str(tmp_path / "r"))
-        rc = main(["simulate", "--config", write_config(tmp_path, cfg)])
-        assert rc == EXIT_CONFIG
+        # tau is no field; n_steps, the only step, must be an integer >= 1
+        for command in ("simulate", "converge", "stability", "planewave-check"):
+            for text in ('{"n_steps": 0}', '{"n_steps": null}'):
+                path = tmp_path / "config.json"
+                path.write_text(text)
+                argv = [command, "--config", str(path), "--output", str(tmp_path / "r")]
+                assert main(argv) == EXIT_CONFIG
+        assert not list(tmp_path.glob("r*"))
+
+    def test_tau_flag_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--tau", "1e-3"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--tau" in capsys.readouterr().err
 
     def test_unknown_model(self, tmp_path):
         cfg = ExperimentConfig(model="unknown", output=str(tmp_path / "r"))
@@ -141,7 +144,11 @@ SMALL_RUN = ["--n-points", "64", "--n-steps", "10", "--t-final", "0.01"]
 LADDER = ["--nt-ladder", "10,20", "--reference-n-steps", "80", "--t-final", "0.01"]
 GROWTH = ["stability", "--amplitude-grid", "0.5,0.9", "--growth-tau", "1e-4",
           "--growth-wavenumbers", "1,2"]
-PLANE_WAVE = ["planewave-check", "--wavenumber", "1", "--n-points", "64", "--tau", "1e-3", "--t-final", "0.01"]
+PLANE_WAVE_NO_MODE = ["planewave-check", "--wavenumber", "1", "--n-points", "64",
+                      "--n-steps", "10", "--t-final", "0.01"]
+PLANE_WAVE = [*PLANE_WAVE_NO_MODE, "--perturbation-mode", "2"]
+# the unperturbed march deviates by 1.9e-14 here; its roundoff swamps smaller seeds
+PLANE_WAVE_200 = [*PLANE_WAVE, "--n-steps", "200", "--t-final", "0.2"]
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -176,7 +183,7 @@ PLANE_WAVE = ["planewave-check", "--wavenumber", "1", "--n-points", "64", "--tau
                  id="growth-wavenumber-beyond-float"),
     pytest.param(["stability", "--amplitude-grid", "0.5,1e306", "--xi-max", "1024"],
                  None, id="scan-growth-rate-overflow"),
-    pytest.param([*PLANE_WAVE, "--tau", "3e-3"], None, id="planewave-off-step-grid"),
+    pytest.param(PLANE_WAVE_NO_MODE, None, id="planewave-no-perturbation-mode"),
     pytest.param([*PLANE_WAVE, "--wavenumber", "40"], None,
                  id="planewave-unrepresentable-wavenumber"),
     pytest.param(["simulate", *SMALL_RUN, "--blowup-factor", "nan"], None,
@@ -185,9 +192,9 @@ PLANE_WAVE = ["planewave-check", "--wavenumber", "1", "--n-points", "64", "--tau
                  id="nan-energy-guard-factor"),
     pytest.param(["simulate", *SMALL_RUN, "--mollify-eps", "nan"], None,
                  id="nan-mollify-eps"),
-    pytest.param(["simulate", "--tau", "1e-3", "--t-final", "inf"], None,
+    pytest.param(["simulate", "--n-steps", "10", "--t-final", "inf"], None,
                  id="simulate-inf-t-final"),
-    pytest.param(["simulate", "--tau", "1e-3", "--t-final", "nan"], None,
+    pytest.param(["simulate", "--n-steps", "10", "--t-final", "nan"], None,
                  id="simulate-nan-t-final"),
     pytest.param([*PLANE_WAVE, "--t-final", "inf"], None, id="planewave-inf-t-final"),
     pytest.param([*PLANE_WAVE, "--amplitude", "nan"], None,
@@ -199,6 +206,9 @@ PLANE_WAVE = ["planewave-check", "--wavenumber", "1", "--n-points", "64", "--tau
     *[pytest.param([*PLANE_WAVE, "--perturbation-amplitude", amp], None,
                    id=f"planewave-unmeasurable-perturbation-{amp}")
       for amp in ("1e-200", "1e-170")],
+    *[pytest.param([*PLANE_WAVE_200, "--perturbation-amplitude", amp], None,
+                   id=f"planewave-perturbation-below-roundoff-{amp}")
+      for amp in ("1e-14", "1e-16")],
     pytest.param(["simulate", *SMALL_RUN, "--width", "inf"], None,
                  id="simulate-inf-width"),
     pytest.param(["simulate", *SMALL_RUN], '{"dealias": "false"}', id="json-bool-string"),
@@ -209,6 +219,7 @@ PLANE_WAVE = ["planewave-check", "--wavenumber", "1", "--n-points", "64", "--tau
                  id="json-float-string"),
     pytest.param(["simulate", *SMALL_RUN], '{"experiment": "converge"}',
                  id="json-experiment-key"),
+    pytest.param(["simulate", *SMALL_RUN], '{"tau": 0.001}', id="json-tau-key"),
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, argv, config):
     argv = argv + ["--output", str(tmp_path / "r")]
@@ -270,17 +281,8 @@ class TestSimulate:
         sidecar = json.loads((tmp_path / "blow_blowup.json").read_text())
         assert sidecar["trigger"] == "amplitude"
         assert 0 < sidecar["onset_time"] < 0.01
-
-    def test_tau_flag_alone_sets_the_step(self, tmp_path):
-        out = str(tmp_path / "tau")
-        rc = main([
-            "simulate", "--n-points", "64", "--tau", "1e-4", "--t-final", "1e-2",
-            "--record-every", "1", "--output", out,
-        ])
-        assert rc == EXIT_OK
-        rows = read_csv(out + ".csv")[1:]
-        assert len(rows) == 101  # t = 0 and each of the 100 steps
-        assert float(rows[-1][0]) == pytest.approx(1e-2)
+        assert sidecar["n_steps"] == 500
+        assert sidecar["tau"] == 0.01 / 500
 
     def test_cli_overrides(self, tmp_path):
         out = str(tmp_path / "ovr")
@@ -298,7 +300,6 @@ class TestConverge:
         out = str(tmp_path / "conv")
         cfg = ExperimentConfig(
             n_points=64, amplitude=0.3, width=0.5, t_final=0.2,
-            tau=None, n_steps=None,
             nt_ladder=(50, 100, 200), reference_n_steps=3200, output=out,
         )
         rc = main(["converge", "--config", write_config(tmp_path, cfg)])
@@ -320,7 +321,6 @@ class TestConverge:
         out = str(tmp_path / "stiff")
         cfg = ExperimentConfig(
             n_points=256, amplitude=0.625, width=0.1, t_final=np.pi / 4,
-            tau=None, n_steps=None,
             nt_ladder=(500,), reference_n_steps=8000,
             energy_guard_factor=10.0, output=out,
         )
@@ -337,7 +337,6 @@ class TestConverge:
         out = str(tmp_path / "badref")
         cfg = ExperimentConfig(
             n_points=512, amplitude=0.625, width=0.1, t_final=np.pi / 4,
-            tau=None, n_steps=None,
             nt_ladder=(500,), reference_n_steps=1000,
             energy_guard_factor=10.0, output=out,
         )
@@ -351,7 +350,6 @@ class TestConverge:
         cfg = ExperimentConfig(
             n_points=64, model="cubic", ic_kind="plane_wave",
             amplitude=0.01, wavenumber=1, t_final=0.1,
-            tau=None, n_steps=None,
             nt_ladder=(10, 20, 40), reference_n_steps=160, output=out,
         )
         rc = main(["converge", "--config", write_config(tmp_path, cfg)])
@@ -363,7 +361,7 @@ class TestConverge:
     def test_ladder_requires_reference_above(self, tmp_path):
         cfg = ExperimentConfig(
             n_points=64, nt_ladder=(100, 200), reference_n_steps=200,
-            tau=None, n_steps=None, output=str(tmp_path / "x"),
+            output=str(tmp_path / "x"),
         )
         rc = main(["converge", "--config", write_config(tmp_path, cfg)])
         assert rc == EXIT_CONFIG
@@ -374,7 +372,7 @@ class TestStability:
         out = str(tmp_path / "stab")
         cfg = ExperimentConfig(
             amplitude_grid=(0.70, 0.705, 0.7071, 0.708, 0.71),
-            xi_max=128, tau=None, n_steps=1, output=out,
+            xi_max=128, output=out,
         )
         rc = main(["stability", "--config", write_config(tmp_path, cfg)])
         assert rc == EXIT_OK
@@ -388,7 +386,7 @@ class TestStability:
         out = str(tmp_path / "straddle")
         cfg = ExperimentConfig(
             amplitude_grid=(thr - 1e-8, thr + 1e-8), xi_max=8192,
-            tau=None, n_steps=1, output=out,
+            output=out,
         )
         rc = main(["stability", "--config", write_config(tmp_path, cfg)])
         assert rc == EXIT_OK
@@ -399,7 +397,7 @@ class TestStability:
         out = str(tmp_path / "mult")
         cfg = ExperimentConfig(
             amplitude_grid=(1.0,), xi_max=4, growth_tau=1e-4,
-            growth_wavenumbers=(16,), tau=None, n_steps=1, output=out,
+            growth_wavenumbers=(16,), output=out,
         )
         rc = main(["stability", "--config", write_config(tmp_path, cfg)])
         assert rc == EXIT_OK
@@ -477,7 +475,7 @@ class TestPlanewaveCheck:
         out = str(tmp_path / "pw")
         cfg = ExperimentConfig(
             n_points=64, ic_kind="plane_wave", amplitude=0.5, wavenumber=1,
-            tau=1e-3, n_steps=None, t_final=0.2, output=out,
+            n_steps=200, t_final=0.2, perturbation_mode=2, output=out,
         )
         rc = main(["planewave-check", "--config", write_config(tmp_path, cfg)])
         assert rc == EXIT_OK
@@ -488,8 +486,41 @@ class TestPlanewaveCheck:
 
     def test_requires_wavenumber(self, tmp_path):
         cfg = ExperimentConfig(
-            n_points=64, amplitude=0.5, tau=1e-3, n_steps=None,
-            output=str(tmp_path / "x"),
+            n_points=64, amplitude=0.5, n_steps=200, t_final=0.2,
+            perturbation_mode=2, output=str(tmp_path / "x"),
         )
         rc = main(["planewave-check", "--config", write_config(tmp_path, cfg)])
         assert rc == EXIT_CONFIG
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def readme_block(lang: str, after: str) -> str:
+    """The first ```lang fenced block that follows the heading ``after``."""
+    rest = README[README.index(after):]
+    start = rest.index(f"```{lang}\n") + len(lang) + 4
+    return rest[start:rest.index("```", start)]
+
+
+def readme_commands() -> list[list[str]]:
+    """Each `qlsplit ...` command of the README's CLI block, as its argv."""
+    lines = readme_block("sh", "## CLI").replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("qlsplit ")]
+
+
+def test_readme_example_config_parses():
+    cfg = parse_config(readme_block("json", "Example config:"))
+    assert cfg.n_points == 4096 and cfg.n_steps == 40000
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_cli_commands_parse(tmp_path, argv):
+    # read the config and flags as main does, without stepping
+    config = tmp_path / "run.json"
+    config.write_text(readme_block("json", "Example config:"))
+    redirect = {"--output": str(tmp_path / "out"), "--config": str(config)}
+    argv = [redirect.get(prev, arg) for prev, arg in zip([None, *argv], argv)]
+    cfg = _config_from_args(build_parser().parse_args(argv))
+    _validate(cfg)
+    assert cfg.output == str(tmp_path / "out")
