@@ -18,10 +18,7 @@ from .model import (
     Perturbation,
     PlaneWave,
     build_initial_condition,
-    ellipticity_indicator,
     exact_plane_wave,
-    pde_residual,
-    potential_field,
 )
 from .spectral import (
     Field,
@@ -33,13 +30,10 @@ from .spectral import (
 from .splitting import (
     BlowupReport,
     SimulationRecord,
-    StabilityAdvisory,
     StepperConfig,
     nonlinear_phase_step,
     planewave_deviation,
     run_simulation,
-    stability_advisory,
-    strang_step,
 )
 from .stability import (
     AmplitudeVerdict,

@@ -11,9 +11,11 @@ overridden from the command line.  The subcommand selects the experiment
 
 Every stepping run takes the step tau = t_final / n_steps; converge takes
 n_steps from each nt_ladder entry.  CSV cells, snapshots included, are
-plain numbers or strings.  A planewave-check perturbation cannot be
-measured, and is a configuration error, unless its L2 norm is more than
-100 times the unperturbed march's max deviation.
+plain numbers or strings.  A planewave-check perturbation of mode m
+seeds the modulus, (a + eps cos((m - k) x)) e^{ikx}, so both m and its
+partner 2k - m must be representable; it cannot be measured, and is a
+configuration error, unless its L2 norm is more than 100 times the
+unperturbed march's max deviation.
 
 Exit codes: 0 success, 2 configuration error, 3 run halted by the blow-up
 guard, 4 reference-run failure in a convergence study.
@@ -473,15 +475,16 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
     grid = GridSpec(cfg.n_points)
     model = _MODELS[cfg.model]()
     try:
-        max_dev, _ = planewave_deviation(cfg.amplitude, k, tau, n_steps, grid, model)
         _, growth = planewave_deviation(
             cfg.amplitude, k, tau, n_steps, grid, model, perturbation=pert
         )
+        max_dev, _ = planewave_deviation(cfg.amplitude, k, tau, n_steps, grid, model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # with the seed e^{imx} (L2 norm |eps| sqrt(2 pi)) 100x above the march's
-    # own deviation, roundoff moves the growth reading by about 2% at most
-    seed_norm = abs(cfg.perturbation_amplitude) * math.sqrt(2 * math.pi)
+    # with the seed eps cos((m - k) x) e^{ikx} (L2 norm |eps| sqrt(pi)) 100x
+    # above the march's own deviation, roundoff moves the growth reading by
+    # about 2% at most
+    seed_norm = abs(cfg.perturbation_amplitude) * math.sqrt(math.pi)
     if growth is None or not seed_norm > 100 * max_dev:
         raise ConfigError(
             f"perturbation_amplitude = {cfg.perturbation_amplitude} cannot be "

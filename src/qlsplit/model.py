@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .spectral import Field, GridSpec, l2_norm, spectral_derivative
+from .spectral import Field, GridSpec
 
 __all__ = [
     "ModelSpec",
@@ -25,11 +25,8 @@ __all__ = [
     "PlaneWave",
     "MultiMode",
     "InitialCondition",
-    "potential_field",
     "exact_plane_wave",
     "build_initial_condition",
-    "ellipticity_indicator",
-    "pde_residual",
 ]
 
 @dataclass(frozen=True)
@@ -157,11 +154,6 @@ def _potential(model: ModelSpec, s: np.ndarray, neg_k2: np.ndarray) -> np.ndarra
     return v
 
 
-def potential_field(model: ModelSpec, f: Field) -> np.ndarray:
-    """Nodewise real potential f(|u|^2) + sign * g'(|u|^2) * (g(|u|^2))_xx."""
-    return _potential(model, f.values.real**2 + f.values.imag**2, -f.grid._k_squared)
-
-
 def exact_plane_wave(a: float, k: int, t: float, grid: GridSpec) -> Field:
     """Wave train a*exp(i(kx - omega t)) with dispersion omega = k^2 + a^2."""
     _check_mode(k, grid, "plane-wave wavenumber")
@@ -189,31 +181,3 @@ def build_initial_condition(ic: InitialCondition, grid: GridSpec) -> Field:
         _check_mode(ic.perturbation.mode, grid, "perturbation mode")
         u = u + ic.perturbation.amplitude * np.exp(1j * ic.perturbation.mode * x)
     return Field(grid, u)
-
-
-def ellipticity_indicator(f: Field) -> tuple[np.ndarray, float]:
-    """Nodewise 1 - 2|u|^2 and its minimum.
-
-    A negative minimum marks a region where the linearized principal symbol
-    loses ellipticity (amplitude above sqrt(2)/2), the precursor of the
-    backward-heat style instability.
-    """
-    ind = 1.0 - 2.0 * (f.values.real**2 + f.values.imag**2)
-    return ind, float(ind.min())
-
-
-def pde_residual(model: ModelSpec, a: float, k: int, grid: GridSpec) -> float:
-    """L2 residual of the wave train inserted into the discretized equation.
-
-    For the exact dispersion relation omega = k^2 + a^2 the residual is
-    roundoff-level; used as a cross-check of potential_field and the
-    dispersion convention.
-    """
-    u = exact_plane_wave(a, k, 0.0, grid)
-    omega = k * k + a * a
-    rhs = (
-        -spectral_derivative(u, 2).values
-        + potential_field(model, u) * u.values
-    )
-    diff = Field(grid, rhs - omega * u.values)
-    return l2_norm(diff)

@@ -140,13 +140,6 @@ def spectral_derivative(f: Field, order: int) -> Field:
     return Field(f.grid, values)
 
 
-def mollifier_cutoff(eps: float) -> int:
-    """Highest retained wavenumber of the frequency cutoff: floor(1/eps)."""
-    if eps <= 0:
-        raise ValueError(f"mollifier eps must be positive, got {eps}")
-    return int(np.floor(1.0 / eps))
-
-
 def _filter_weights(
     grid: GridSpec, mollify_eps: float | None, dealias: bool
 ) -> np.ndarray | None:
@@ -157,7 +150,9 @@ def _filter_weights(
     kabs = np.abs(grid._k_float)
     keep = np.ones(grid.n_points, dtype=bool)
     if mollify_eps is not None:
-        keep &= kabs <= mollifier_cutoff(mollify_eps)
+        if mollify_eps <= 0:
+            raise ValueError(f"mollifier eps must be positive, got {mollify_eps}")
+        keep &= kabs <= int(np.floor(1.0 / mollify_eps))
     if dealias:
         keep &= kabs <= grid.n_points // 3
     return None if keep.all() else keep.astype(np.float64)

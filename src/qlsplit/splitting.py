@@ -22,7 +22,7 @@ from .model import (
     InitialCondition,
     ModelSpec,
     Perturbation,
-    PlaneWave,
+    _check_mode,
     _potential,
     build_initial_condition,
     exact_plane_wave,
@@ -33,12 +33,9 @@ __all__ = [
     "StepperConfig",
     "BlowupReport",
     "SimulationRecord",
-    "StabilityAdvisory",
     "nonlinear_phase_step",
-    "strang_step",
     "run_simulation",
     "planewave_deviation",
-    "stability_advisory",
 ]
 
 
@@ -46,12 +43,11 @@ __all__ = [
 class StepperConfig:
     """Time-stepping parameters.
 
-    ``tau`` is the step size (negative values are accepted so that a single
-    backward step can be taken in reversibility checks; the simulation
-    driver itself requires tau > 0).  ``mollify_eps`` switches on the
-    frequency cutoff at |k| <= floor(1/eps); ``krasny_delta`` switches on
-    the relative spectral floor filter.  ``mollify_eps`` and both guard
-    factors must be finite: a NaN factor would switch its guard off.
+    ``tau`` is the step size, finite and positive.  ``mollify_eps``
+    switches on the frequency cutoff at |k| <= floor(1/eps);
+    ``krasny_delta`` switches on the relative spectral floor filter.
+    ``mollify_eps`` and both guard factors must be finite: a NaN factor
+    would switch its guard off.
 
     The blow-up guard trips when the maximum amplitude exceeds
     ``blowup_factor`` times its initial value or turns non-finite.  It
@@ -77,8 +73,8 @@ class StepperConfig:
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.tau == 0.0 or not np.isfinite(self.tau):
-            raise ValueError(f"tau must be a finite nonzero step, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
         if self.mollify_eps is not None and not 0 < self.mollify_eps < math.inf:
             raise ValueError(
                 f"mollify_eps must be finite and positive, got {self.mollify_eps}"
@@ -135,14 +131,6 @@ class SimulationRecord:
     def min_ellipticity(self) -> np.ndarray:
         """min_j (1 - 2|u_j|^2), derived from max_amplitude: 1 - 2 max_j |u_j|^2."""
         return 1.0 - 2.0 * self.max_amplitude * self.max_amplitude
-
-
-@dataclass(frozen=True)
-class StabilityAdvisory:
-    """tau / eps^(5/2) ratio with a warning flag when it exceeds 1."""
-
-    ratio: float
-    warn: bool
 
 
 class _StepKernel:
@@ -234,31 +222,6 @@ def nonlinear_phase_step(
     return Field(f.grid, f.values * np.exp(-1j * tau * v))
 
 
-def strang_step(model: ModelSpec, f: Field, cfg: StepperConfig) -> Field:
-    """One symmetric split step of size cfg.tau.
-
-    Composition: free flight tau/2, nonlinear phase kick tau (with the
-    cutoff applied to the potential and then to the state when mollified),
-    free flight tau/2, then the Krasny filter when enabled.
-    """
-    kernel = _StepKernel(
-        f.grid, model, cfg.tau, cfg.mollify_eps, cfg.krasny_delta, cfg.dealias
-    )
-    _, u_new = kernel.advance(np.fft.fft(f.values))
-    return Field(f.grid, u_new)
-
-
-def stability_advisory(tau: float, eps: float) -> StabilityAdvisory:
-    """Step-size advisory for the mollified scheme: warn when tau > eps^(5/2).
-
-    Informational only; the constant in front of eps^(5/2) is taken as 1.
-    """
-    if tau <= 0 or eps <= 0:
-        raise ValueError("tau and eps must be positive")
-    ratio = tau / eps**2.5
-    return StabilityAdvisory(ratio=float(ratio), warn=bool(ratio > 1.0))
-
-
 def _step_index(t: float, tau: float, what: str) -> int:
     """Number of steps of size tau in t, which must be a step multiple."""
     ratio = t / tau
@@ -304,8 +267,6 @@ def run_simulation(
     ``t_final`` and every snapshot time must be exact integer multiples of
     ``cfg.tau``, and no two snapshot times may fall on the same step.
     """
-    if cfg.tau <= 0:
-        raise ValueError("run_simulation requires tau > 0")
     if t_final <= 0:
         raise ValueError(f"t_final must be positive, got {t_final}")
     n_steps = _step_index(t_final, cfg.tau, "t_final")
@@ -409,19 +370,31 @@ def planewave_deviation(
 ) -> tuple[float, float | None]:
     """March a (possibly perturbed) wave train and track its deviation.
 
+    A perturbation of mode m and amplitude eps seeds the modulus:
+    u(0) = (a + eps cos((m - k) x)) e^{ikx}, which puts eps/2 on the
+    sidebands m and 2k - m.  A single exponential eps e^{imx} would trade
+    modulus for phase on the stable side and swing far above its start;
+    the modulus seed starts at the top of that exchange.
+
     Returns (max L2 deviation from the exact wave train over all steps,
     growth factor of the squared-L2 perturbation energy relative to t=0).
     The growth factor is None when the start has no perturbation energy:
     an unperturbed start, or one whose energy underflows to 0.
-    Raises ValueError when k or the perturbation mode is not representable
-    on the grid.
+    Raises ValueError when k or a sideband of the perturbation is not
+    representable on the grid.
     """
     if model is None:
         model = ModelSpec.pseudo_attractive()
-    u0 = build_initial_condition(PlaneWave(a, k, perturbation=perturbation), grid)
-    energy0 = diagnostics.mass(
-        Field(grid, u0.values - exact_plane_wave(a, k, 0.0, grid).values)
-    )
+    exact0 = exact_plane_wave(a, k, 0.0, grid)
+    x = grid.nodes
+    modulus = a
+    if perturbation is not None:
+        m = perturbation.mode
+        _check_mode(m, grid, "perturbation mode")
+        _check_mode(2 * k - m, grid, "perturbation partner mode 2k - m")
+        modulus = a + perturbation.amplitude * np.cos((m - k) * x)
+    u0 = Field(grid, modulus * np.exp(1j * k * x))
+    energy0 = diagnostics.mass(Field(grid, u0.values - exact0.values))
 
     kernel = _StepKernel(grid, model, tau)
     f_raw = np.fft.fft(u0.values)

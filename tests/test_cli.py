@@ -186,6 +186,9 @@ PLANE_WAVE_200 = [*PLANE_WAVE, "--n-steps", "200", "--t-final", "0.2"]
     pytest.param(PLANE_WAVE_NO_MODE, None, id="planewave-no-perturbation-mode"),
     pytest.param([*PLANE_WAVE, "--wavenumber", "40"], None,
                  id="planewave-unrepresentable-wavenumber"),
+    # the modulus seed also excites 2k - m = 32, which N = 64 cannot hold
+    pytest.param([*PLANE_WAVE, "--perturbation-mode", "-30"], None,
+                 id="planewave-unrepresentable-partner-mode"),
     pytest.param(["simulate", *SMALL_RUN, "--blowup-factor", "nan"], None,
                  id="nan-blowup-factor"),
     pytest.param(["simulate", *SMALL_RUN, "--energy-guard-factor", "nan"], None,
@@ -483,6 +486,22 @@ class TestPlanewaveCheck:
         assert report["max_l2_deviation"] < 1e-11
         assert report["perturbation_mode"] == 2
         assert report["perturbation_energy_growth"] < 2.0
+
+    @pytest.mark.parametrize("amplitude, unstable", [
+        ("0.7070067811865475", False),  # sqrt(2)/2 - 1e-4
+        ("0.7072067811865476", True),  # sqrt(2)/2 + 1e-4
+    ])
+    def test_modulus_seed_reads_the_threshold(self, tmp_path, amplitude, unstable):
+        # criterion 5's run; below the threshold a single-exponential seed
+        # swings to 1.164e3 times its energy and reads as growth
+        rc = main(["planewave-check", "--n-points", "256", "--amplitude", amplitude,
+                   "--wavenumber", "0", "--perturbation-mode", "126",
+                   "--n-steps", "8000", "--t-final", "0.016",
+                   "--output", str(tmp_path / "pw")])
+        assert rc == EXIT_OK
+        report = json.loads((tmp_path / "pw_planewave.json").read_text())
+        growth = report["perturbation_energy_growth"]
+        assert growth >= 10.0 if unstable else growth < 2.0
 
     def test_requires_wavenumber(self, tmp_path):
         cfg = ExperimentConfig(

@@ -12,12 +12,11 @@ from qlsplit import (
     h1_seminorm,
     l2_norm,
     spectral_derivative,
-    strang_step,
 )
 from qlsplit.spectral import _filter_weights
 from qlsplit.splitting import _StepKernel
 
-from conftest import random_field
+from conftest import one_step, random_field
 
 # V = 0: with this model a Strang step is the free flight plus the filters
 FREE = ModelSpec(f_coeffs=(0.0,), quasilinear_sign=0)
@@ -39,7 +38,7 @@ def filtered(f, eps=None, dealias=False):
 
 def krasny_step(f, delta):
     """One V = 0 step with the Krasny floor: |u_hat_k| moves only by roundoff."""
-    return strang_step(FREE, f, StepperConfig(tau=1e-3, krasny_delta=delta))
+    return one_step(FREE, f, 1e-3, krasny_delta=delta)
 
 
 class TestGridSpec:

@@ -1,4 +1,4 @@
-"""Strang stepper, simulation driver, guards, and advisory."""
+"""Strang stepper, simulation driver and guards."""
 
 import numpy as np
 import pytest
@@ -16,11 +16,9 @@ from qlsplit import (
     mass,
     nonlinear_phase_step,
     run_simulation,
-    stability_advisory,
-    strang_step,
 )
 
-from conftest import random_field
+from conftest import one_step, random_field
 
 MODEL = ModelSpec.pseudo_attractive()
 MODELS = [MODEL, ModelSpec.thin_film(), ModelSpec.cubic_nls(),
@@ -105,6 +103,9 @@ class TestNonlinearPhaseStep:
         assert not np.allclose(plain.values, moll.values)
         dev = np.abs(np.abs(moll.values) - np.abs(f.values))
         assert dev.max() < 1e-15
+        for eps in (0.0, -0.3):
+            with pytest.raises(ValueError, match="mollifier eps must be positive"):
+                nonlinear_phase_step(MODEL, f, 0.1, mollify_eps=eps)
 
     @pytest.mark.parametrize("mollify_eps", [None, 0.05, 0.3])
     @pytest.mark.parametrize("model", MODELS,
@@ -125,46 +126,41 @@ class TestStrangStep:
     def test_plane_wave_step_is_exact(self):
         grid = GridSpec(64)
         a, k, tau = 0.5, 1, 1e-3
-        cfg = StepperConfig(tau=tau)
         f = exact_plane_wave(a, k, 0.0, grid)
-        out = strang_step(MODEL, f, cfg)
+        out = one_step(MODEL, f, tau)
         expected = exact_plane_wave(a, k, tau, grid)
         diff = Field(grid, out.values - expected.values)
         assert l2_norm(diff) < 1e-12
 
     def test_zero_field(self, grid):
-        cfg = StepperConfig(tau=0.01)
-        out = strang_step(MODEL, Field(grid, np.zeros(grid.n_points)), cfg)
+        out = one_step(MODEL, Field(grid, np.zeros(grid.n_points)), 0.01)
         assert np.all(out.values == 0)
 
     def test_reversibility(self):
         grid = GridSpec(256)
         f = Field(grid, 0.2 * np.exp(-grid.nodes**2 / (2 * 0.2**2)))
-        fwd = strang_step(MODEL, f, StepperConfig(tau=1e-3))
-        back = strang_step(MODEL, fwd, StepperConfig(tau=-1e-3))
+        fwd = one_step(MODEL, f, 1e-3)
+        back = one_step(MODEL, fwd, -1e-3)
         diff = Field(grid, back.values - f.values)
         assert l2_norm(diff) < 1e-11
 
     def test_mass_conserved_per_step_without_filters(self, grid):
         rng = np.random.default_rng(3)
         f = random_field(grid, rng, scale=0.5)
-        out = strang_step(MODEL, f, StepperConfig(tau=5e-3))
+        out = one_step(MODEL, f, 5e-3)
         assert mass(out) == pytest.approx(mass(f), rel=1e-12)
 
     def test_filters_never_increase_mass(self, grid):
         rng = np.random.default_rng(4)
         f = random_field(grid, rng, scale=0.5)
-        for cfg in [
-            StepperConfig(tau=5e-3, mollify_eps=0.2),
-            StepperConfig(tau=5e-3, krasny_delta=1e-3),
-        ]:
-            out = strang_step(MODEL, f, cfg)
+        for filters in [{"mollify_eps": 0.2}, {"krasny_delta": 1e-3}]:
+            out = one_step(MODEL, f, 5e-3, **filters)
             assert mass(out) <= mass(f) * (1 + 1e-12)
 
     def test_mollified_step_band_limits_the_state(self, grid):
         rng = np.random.default_rng(5)
         f = random_field(grid, rng)
-        out = strang_step(MODEL, f, StepperConfig(tau=1e-2, mollify_eps=0.2))
+        out = one_step(MODEL, f, 1e-2, mollify_eps=0.2)
         c = out.spectrum
         beyond = np.abs(grid.wavenumbers) > 5  # floor(1/0.2)
         assert np.max(np.abs(c[beyond])) < 1e-15
@@ -172,14 +168,14 @@ class TestStrangStep:
     def test_dealias_step_band_limits_the_state(self, grid):
         rng = np.random.default_rng(21)
         f = random_field(grid, rng)
-        out = strang_step(MODEL, f, StepperConfig(tau=1e-2, dealias=True))
+        out = one_step(MODEL, f, 1e-2, dealias=True)
         c = out.spectrum
         beyond = np.abs(grid.wavenumbers) > grid.n_points // 3
         assert np.max(np.abs(c[beyond])) < 1e-15
 
     def test_krasny_step_floors_small_modes(self, grid):
         f = Field(grid, np.exp(1j * grid.nodes) + 1e-9 * np.exp(5j * grid.nodes))
-        out = strang_step(MODEL, f, StepperConfig(tau=1e-3, krasny_delta=1e-6))
+        out = one_step(MODEL, f, 1e-3, krasny_delta=1e-6)
         c = np.abs(out.spectrum)
         idx = {k: i for i, k in enumerate(grid.wavenumbers)}
         assert c[idx[5]] < 1e-15
@@ -187,8 +183,10 @@ class TestStrangStep:
 
 class TestStepperConfigValidation:
     def test_rejects_zero_tau(self):
-        with pytest.raises(ValueError):
-            StepperConfig(tau=0.0)
+        # the config owns tau > 0; run_simulation has no check of its own
+        for tau in (0.0, -1e-3, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tau must be finite and positive"):
+                StepperConfig(tau=tau)
 
     def test_rejects_bad_filters(self):
         with pytest.raises(ValueError):
@@ -300,9 +298,9 @@ class TestRunSimulation:
         grid = GridSpec(64)
         cfg = StepperConfig(tau=2e-3, record_every=100)
         rec = run_simulation(MODEL, Gaussian(0.3, 0.4), grid, cfg, 0.01)
-        f = strang_step(MODEL, Field(grid, 0.3 * np.exp(-grid.nodes**2 / (2 * 0.4**2))), cfg)
+        f = one_step(MODEL, Field(grid, 0.3 * np.exp(-grid.nodes**2 / (2 * 0.4**2))), 2e-3)
         for _ in range(4):
-            f = strang_step(MODEL, f, cfg)
+            f = one_step(MODEL, f, 2e-3)
         assert np.allclose(rec.final_field.values, f.values, atol=1e-13)
 
 
@@ -346,7 +344,7 @@ class TestFusedLoopMatchesReference:
     def test_strang_step_is_one_reference_step(self):
         grid = GridSpec(128)
         u0 = random_field(grid, np.random.default_rng(7), scale=0.5)
-        out = strang_step(MODEL, u0, StepperConfig(tau=2e-3, krasny_delta=1e-4))
+        out = one_step(MODEL, u0, 2e-3, krasny_delta=1e-4)
         ref = reference_states(MODEL, u0, 2e-3, 1, krasny_delta=1e-4)
         assert np.array_equal(out.values, ref[0])
 
@@ -431,26 +429,3 @@ class TestKrasnyStabilization:
         assert drift / abs(filtered.energy[0]) < 1e-3
         # the floor filter only ever removes mass
         assert filtered.mass[-1] <= filtered.mass[0]
-
-
-class TestStabilityAdvisory:
-    def test_small_ratio_ok(self):
-        adv = stability_advisory(1e-6, 0.1)
-        assert adv.ratio == pytest.approx(1e-6 / 0.1**2.5, rel=1e-12)
-        assert adv.ratio == pytest.approx(3.162277e-4, rel=1e-5)
-        assert not adv.warn
-
-    def test_large_ratio_warns(self):
-        adv = stability_advisory(1e-2, 0.1)
-        assert adv.ratio == pytest.approx(3.162277, rel=1e-5)
-        assert adv.warn
-
-    def test_eps_at_least_one_never_warns_for_unit_tau(self):
-        for eps in [1.0, 1.5, 3.0]:
-            assert not stability_advisory(1.0, eps).warn
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            stability_advisory(0.0, 0.1)
-        with pytest.raises(ValueError):
-            stability_advisory(1e-3, 0.0)
