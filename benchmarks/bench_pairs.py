@@ -9,10 +9,14 @@ Each seed is one pair: `perfbench/run.py --workload W --seed S --seconds T
 own process, with the side that runs first alternating from pair to pair.
 For every end-to-end metric the JSON holds each side's runs, median and
 quartiles (`statistics.quantiles`, inclusive method, which is numpy's
-linear percentile) and the number of pairs the change won; for the
-`--claim` metric also the median gain next to the base's interquartile
-distance.  `--control` runs a second workload the same way, with no claim,
-under the key "control".
+linear percentile), the number of pairs the change won, and how much
+worse the change's median is than the base's, relative to the base's
+(`worse_by`, negative when it is better), next to the metric's `bound`
+from BENCHMARK.json and a `within_bound` flag.  For the `--claim` metric
+it also holds the median gain next to the base's interquartile distance,
+and `met`: the change won at least 9 of 10 pairs and its median gain, in
+the metric's better direction, exceeds that distance.  `--control` runs a
+second workload the same way, with no claim, under the key "control".
 """
 
 from __future__ import annotations
@@ -28,9 +32,8 @@ from pathlib import Path
 from bench_kernel import commit, machine, numpy_version
 
 ROOT = Path(__file__).resolve().parent.parent
-BETTER = {
-    m["name"]: m["better"]
-    for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+END_TO_END = {
+    m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 }
 
 
@@ -73,10 +76,13 @@ def pairs(base: Path, workload: str, seeds: list[int], seconds: float,
     for name in results["base"][0]["metrics"]:
         runs = {side: [r["metrics"][name]["value"] for r in results[side]]
                 for side in sides}
-        sign = 1 if BETTER[name] == "higher" else -1
+        sign = 1 if END_TO_END[name]["better"] == "higher" else -1
         wins = sum(sign * (h - b) > 0 for b, h in zip(runs["base"], runs["head"]))
-        metrics[name] = {side: spread(runs[side]) for side in sides}
-        metrics[name]["head_wins"] = wins
+        metrics[name] = m = {side: spread(runs[side]) for side in sides}
+        worse_by = -sign * (m["head"]["median"] - m["base"]["median"]) / m["base"]["median"]
+        bound = END_TO_END[name]["bound"]
+        m.update(head_wins=wins, worse_by=worse_by, bound=bound,
+                 within_bound=worse_by <= bound)
     record = {
         "command": f"python3 perfbench/run.py --workload {workload} "
                    f"--seed SEED --seconds {seconds:g} --trace 0",
@@ -94,11 +100,15 @@ def pairs(base: Path, workload: str, seeds: list[int], seconds: float,
     }
     if claim is not None:
         m = metrics[claim]
+        gain = m["head"]["median"] - m["base"]["median"]
+        base_iqr = m["base"]["q3"] - m["base"]["q1"]
+        sign = 1 if END_TO_END[claim]["better"] == "higher" else -1
         record["claim"] = {
             "metric": claim,
             "head_wins": m["head_wins"],
-            "median_gain": m["head"]["median"] - m["base"]["median"],
-            "base_iqr": m["base"]["q3"] - m["base"]["q1"],
+            "median_gain": gain,
+            "base_iqr": base_iqr,
+            "met": m["head_wins"] >= 0.9 * len(seeds) and sign * gain > base_iqr,
         }
     return record
 

@@ -9,13 +9,17 @@ overridden from the command line.  The subcommand selects the experiment
     qlsplit stability       plane-wave threshold scan, verdict CSV
     qlsplit planewave-check exactness and perturbation growth on a wave train
 
+Input rules come from the config dataclasses and one table per choice:
+each value is read by its ``ExperimentConfig`` annotation and every float
+must be finite; ``_IC_KINDS`` names each initial condition's shape field,
+``_COMMANDS`` the fields each subcommand requires, and the stepper takes
+every ``StepperConfig`` field but tau from the config field of its name.
 Every stepping run takes the step tau = t_final / n_steps; converge takes
-n_steps from each nt_ladder entry.  CSV cells, snapshots included, are
-plain numbers or strings.  A planewave-check perturbation of mode m
-seeds the modulus, (a + eps cos((m - k) x)) e^{ikx}, so both m and its
-partner 2k - m must be representable; it cannot be measured, and is a
-configuration error, unless its L2 norm is more than 100 times the
-unperturbed march's max deviation.
+n_steps from each nt_ladder entry.  planewave-check measures the
+unfiltered scheme, so it rejects every spectral filter.  Its perturbation
+of mode m seeds the modulus, (a + eps cos((m - k) x)) e^{ikx}, so m and
+its partner 2k - m must be representable, and its L2 norm must be more
+than 100 times the unperturbed march's max deviation.
 
 Exit codes: 0 success, 2 configuration error, 3 run halted by the blow-up
 guard, 4 reference-run failure in a convergence study.
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import os
@@ -48,6 +53,7 @@ from .spectral import Field, GridSpec, h1_seminorm, l2_norm
 from .splitting import (
     SimulationRecord,
     StepperConfig,
+    _StepKernel,
     planewave_deviation,
     run_simulation,
 )
@@ -61,7 +67,6 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "parse_config",
-    "serialize_config",
     "cmd_simulate",
     "cmd_converge",
     "cmd_stability",
@@ -80,7 +85,12 @@ _MODELS = {
     "cubic": ModelSpec.cubic_nls,
 }
 
-_IC_KINDS = ("gaussian", "plane_wave", "multi_mode")
+# ic_kind -> (initial condition class, the config field giving its shape)
+_IC_KINDS = {
+    "gaussian": (Gaussian, "width"),
+    "plane_wave": (PlaneWave, "wavenumber"),
+    "multi_mode": (MultiMode, "wavenumbers"),
+}
 
 
 class ConfigError(ValueError):
@@ -124,6 +134,13 @@ class ExperimentConfig:
 
 
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+# every StepperConfig field but the step is the config field of that name
+_STEPPER_FIELDS = [f.name for f in dataclasses.fields(StepperConfig) if f.name != "tau"]
+# the spectral filters are the step kernel's optional arguments, with their off values
+_FILTERS = {
+    name: p.default for name, p in inspect.signature(_StepKernel).parameters.items()
+    if p.default is not p.empty
+}
 _FLAG_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
@@ -135,6 +152,7 @@ def _typed(name: str, value: object, from_flag: bool = False) -> object:
     items.  A JSON value must already have the field's type: an integer
     field takes no float and no bool, a float field takes any number, a
     tuple field takes a list, and null is only for ``X | None`` fields.
+    Every float, list items included, must be finite.
     """
     kind = _FIELD_TYPES[name]
     if type(None) in typing.get_args(kind):
@@ -152,27 +170,30 @@ def _typed(name: str, value: object, from_flag: bool = False) -> object:
 
 
 def _typed_scalar(name: str, kind: type, value: object, from_flag: bool) -> object:
-    if from_flag:
-        try:
-            return _FLAG_BOOLS[value.strip().lower()] if kind is bool else kind(value)
-        except (KeyError, ValueError):
-            pass
-    # bool is a subclass of int, so it must be told apart from numbers
-    elif isinstance(value, bool) == (kind is bool) and isinstance(
-        value, (int, float) if kind is float else kind
-    ):
-        return kind(value)
-    raise ConfigError(f"{name} expects {kind.__name__}, got {value!r}")
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)
+    try:
+        if from_flag:
+            typed = _FLAG_BOOLS[value.strip().lower()] if kind is bool else kind(value)
+        # bool is a subclass of int, so it must be told apart from numbers
+        elif isinstance(value, bool) == (kind is bool) and isinstance(
+            value, (int, float) if kind is float else kind
+        ):
+            typed = kind(value)
+        else:
+            raise ValueError
+    except (KeyError, ValueError):
+        raise ConfigError(f"{name} expects {kind.__name__}, got {value!r}") from None
+    except OverflowError:  # a JSON integer beyond float range
+        digits = len(str(value))
+        raise ConfigError(f"{name} must be finite, got an integer of {digits} digits") from None
+    if kind is float and not math.isfinite(typed):
+        raise ConfigError(f"{name} must be finite, got {typed}")
+    return typed
 
 
 def parse_config(text: str) -> ExperimentConfig:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer of too many digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -186,28 +207,22 @@ def parse_config(text: str) -> ExperimentConfig:
 def _validate(cfg: ExperimentConfig) -> None:
     """Single-field rules; each command checks its own cross-field rules."""
     if cfg.model not in _MODELS:
-        raise ConfigError(
-            f"unknown model {cfg.model!r}; choose from {sorted(_MODELS)}"
-        )
+        raise ConfigError(f"unknown model {cfg.model!r}; choose from {sorted(_MODELS)}")
     if cfg.ic_kind not in _IC_KINDS:
         raise ConfigError(f"unknown ic_kind {cfg.ic_kind!r}")
     try:
         GridSpec(cfg.n_points)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not 0 < cfg.t_final < math.inf:
+    if cfg.t_final <= 0:
         raise ConfigError(f"t_final must be finite and positive, got {cfg.t_final}")
     if cfg.n_steps < 1:
         raise ConfigError(f"n_steps must be a positive integer, got {cfg.n_steps}")
-    for name in ("amplitude", "width", "perturbation_amplitude"):
-        value = getattr(cfg, name)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-    if cfg.amplitude_grid and not all(0 <= a < math.inf for a in cfg.amplitude_grid):
+    if cfg.amplitude_grid and min(cfg.amplitude_grid) < 0:
         raise ConfigError(
             f"amplitude_grid entries must be finite and >= 0, got {cfg.amplitude_grid}"
         )
-    if cfg.growth_tau is not None and not 0 < cfg.growth_tau < math.inf:
+    if cfg.growth_tau is not None and cfg.growth_tau <= 0:
         raise ConfigError(f"growth_tau must be finite and > 0, got {cfg.growth_tau}")
     if cfg.growth_wavenumbers and min(cfg.growth_wavenumbers) < 1:
         raise ConfigError(
@@ -219,35 +234,21 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 
 def _build_ic(cfg: ExperimentConfig) -> InitialCondition:
+    kind, shape = _IC_KINDS[cfg.ic_kind]
+    if getattr(cfg, shape) is None:
+        raise ConfigError(f"{cfg.ic_kind} initial condition requires {shape}")
     pert = None
     if cfg.perturbation_mode is not None:
         pert = Perturbation(cfg.perturbation_mode, cfg.perturbation_amplitude)
-    if cfg.ic_kind == "gaussian":
-        if cfg.width is None:
-            raise ConfigError("gaussian initial condition requires width")
-        return Gaussian(cfg.amplitude, cfg.width, perturbation=pert)
-    if cfg.ic_kind == "plane_wave":
-        if cfg.wavenumber is None:
-            raise ConfigError("plane_wave initial condition requires wavenumber")
-        return PlaneWave(cfg.amplitude, cfg.wavenumber, perturbation=pert)
-    if cfg.wavenumbers is None:
-        raise ConfigError("multi_mode initial condition requires wavenumbers")
-    return MultiMode(cfg.amplitude, cfg.wavenumbers, perturbation=pert)
+    return kind(cfg.amplitude, getattr(cfg, shape), perturbation=pert)
 
 
-def _run_once(cfg: ExperimentConfig, n_steps: int,
-              record_every: int | None = None) -> SimulationRecord:
+def _run_once(cfg: ExperimentConfig, n_steps: int) -> SimulationRecord:
     """One run of the configured experiment in n_steps steps over t_final."""
     try:
         stepper = StepperConfig(
             tau=cfg.t_final / n_steps,
-            mollify_eps=cfg.mollify_eps,
-            krasny_delta=cfg.krasny_delta,
-            dealias=cfg.dealias,
-            blowup_factor=cfg.blowup_factor,
-            energy_guard_factor=cfg.energy_guard_factor,
-            record_every=record_every if record_every is not None else cfg.record_every,
-            snapshot_times=cfg.snapshot_times,
+            **{name: getattr(cfg, name) for name in _STEPPER_FIELDS},
         )
         return run_simulation(
             _MODELS[cfg.model](), _build_ic(cfg), GridSpec(cfg.n_points), stepper,
@@ -271,6 +272,11 @@ def _write_csv(path: str, header: list[str],
         )
 
 
+def _write_json(path: str, document: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(document, fh, indent=2)
+
+
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     """Run one simulation; write diagnostics, snapshots, blow-up sidecar."""
     rec = _run_once(cfg, cfg.n_steps)
@@ -283,16 +289,14 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                    zip(fld.grid.nodes.tolist(), fld.values.real.tolist(),
                        fld.values.imag.tolist(), map(abs, fld.values.tolist())))
     if rec.blowup is not None:
-        sidecar = {
+        _write_json(cfg.output + "_blowup.json", {
             "onset_time": rec.blowup.onset_time,
             "trigger": rec.blowup.trigger,
             "blowup_factor": cfg.blowup_factor,
             "t_final_requested": cfg.t_final,
             "tau": cfg.t_final / cfg.n_steps,
             "n_steps": cfg.n_steps,
-        }
-        with open(cfg.output + "_blowup.json", "w") as fh:
-            json.dump(sidecar, fh, indent=2)
+        })
         print(
             f"blow-up halt at t = {rec.blowup.onset_time:.6e} "
             f"({rec.blowup.trigger}); diagnostics in {cfg.output}.csv"
@@ -304,10 +308,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def cmd_converge(cfg: ExperimentConfig) -> int:
     """Run a step-count ladder against a fine reference; fit the order."""
-    if not cfg.nt_ladder:
-        raise ConfigError("converge requires nt_ladder")
-    if cfg.reference_n_steps is None:
-        raise ConfigError("converge requires reference_n_steps")
     ladder = sorted(cfg.nt_ladder)
     if len(set(ladder)) != len(ladder) or ladder[0] < 1:
         raise ConfigError(f"nt_ladder entries must be distinct positive, got {ladder}")
@@ -318,7 +318,7 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
         )
 
     results = {
-        n: _run_once(cfg, n, record_every=n)
+        n: _run_once(dataclasses.replace(cfg, record_every=n), n)
         for n in ladder + [cfg.reference_n_steps]
     }
 
@@ -372,14 +372,9 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
             {"n_steps": n, "err_l2": e2, "err_h1": e1, "status": status}
             for n, e2, e1, status in rows
         ],
-        "filters": {
-            "mollify_eps": cfg.mollify_eps,
-            "krasny_delta": cfg.krasny_delta,
-            "dealias": cfg.dealias,
-        },
+        "filters": {name: getattr(cfg, name) for name in _FILTERS},
     }
-    with open(cfg.output + "_orders.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+    _write_json(cfg.output + "_orders.json", summary)
 
     if orders is not None:
         print(
@@ -436,8 +431,6 @@ def _write_multipliers_csv(path: str, cfg: ExperimentConfig,
 
 def cmd_stability(cfg: ExperimentConfig) -> int:
     """Scan carrier amplitudes for modewise instability; optional multipliers."""
-    if not cfg.amplitude_grid:
-        raise ConfigError("stability requires amplitude_grid")
     if cfg.xi_max < 1:
         raise ConfigError(f"xi_max must be >= 1, got {cfg.xi_max}")
     if (cfg.growth_tau is None) != (not cfg.growth_wavenumbers):
@@ -465,19 +458,18 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
 
 def cmd_planewave_check(cfg: ExperimentConfig) -> int:
     """Measure split-step exactness on a wave train, plus perturbed growth."""
-    # mode k + 1 would be relative wavenumber 1, neutral at every amplitude
-    for name in ("wavenumber", "perturbation_mode"):
-        if getattr(cfg, name) is None:
-            raise ConfigError(f"planewave_check requires {name}")
+    filtered = [name for name, off in _FILTERS.items() if getattr(cfg, name) != off]
+    if filtered:
+        raise ConfigError(
+            f"planewave_check measures the unfiltered scheme; unset {', '.join(filtered)}"
+        )
     k, n_steps = cfg.wavenumber, cfg.n_steps
     tau = cfg.t_final / n_steps
     pert = Perturbation(mode=cfg.perturbation_mode, amplitude=cfg.perturbation_amplitude)
     grid = GridSpec(cfg.n_points)
     model = _MODELS[cfg.model]()
     try:
-        _, growth = planewave_deviation(
-            cfg.amplitude, k, tau, n_steps, grid, model, perturbation=pert
-        )
+        _, growth = planewave_deviation(cfg.amplitude, k, tau, n_steps, grid, model, pert)
         max_dev, _ = planewave_deviation(cfg.amplitude, k, tau, n_steps, grid, model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -486,14 +478,17 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
     # about 2% at most
     seed_norm = abs(cfg.perturbation_amplitude) * math.sqrt(math.pi)
     if growth is None or not seed_norm > 100 * max_dev:
+        carrier_norm = abs(cfg.amplitude) * math.sqrt(2 * math.pi)
+        share = max_dev / carrier_norm if carrier_norm > 0 else 0.0
         raise ConfigError(
             f"perturbation_amplitude = {cfg.perturbation_amplitude} cannot be "
             f"measured: its L2 norm {seed_norm:.3e} must exceed 100 times the "
             f"unperturbed max deviation {max_dev:.3e}, and its energy must not "
-            "underflow to 0"
+            "underflow to 0; the unperturbed wave train deviates by "
+            f"{share:.2g} of its own L2 norm a sqrt(2 pi)"
         )
 
-    report = {
+    _write_json(cfg.output + "_planewave.json", {
         "amplitude": cfg.amplitude,
         "wavenumber": k,
         "tau": tau,
@@ -502,9 +497,7 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
         "perturbation_mode": cfg.perturbation_mode,
         "perturbation_amplitude": cfg.perturbation_amplitude,
         "perturbation_energy_growth": growth,
-    }
-    with open(cfg.output + "_planewave.json", "w") as fh:
-        json.dump(report, fh, indent=2)
+    })
     print(
         f"max L2 deviation {max_dev:.3e}; perturbation energy growth "
         f"{growth:.3e}; report in {cfg.output}_planewave.json"
@@ -512,18 +505,15 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+# subcommand -> (runner, the fields it requires); planewave_check has no
+# default perturbation_mode because mode k + 1 would be relative wavenumber
+# 1, neutral at every amplitude
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "converge": cmd_converge,
-    "stability": cmd_stability,
-    "planewave_check": cmd_planewave_check,
+    "simulate": (cmd_simulate, ()),
+    "converge": (cmd_converge, ("nt_ladder", "reference_n_steps")),
+    "stability": (cmd_stability, ("amplitude_grid",)),
+    "planewave_check": (cmd_planewave_check, ("wavenumber", "perturbation_mode")),
 }
-
-def _add_override_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a JSON experiment config")
-    for f in dataclasses.fields(ExperimentConfig):
-        # lists are comma-separated, booleans true/false (1/0, yes/no, on/off)
-        parser.add_argument("--" + f.name.replace("_", "-"), help=f.type)
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -551,7 +541,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command in _COMMANDS:
         p = sub.add_parser(command.replace("_", "-"))
-        _add_override_args(p)
+        p.add_argument("--config", help="path to a JSON experiment config")
+        for f in dataclasses.fields(ExperimentConfig):
+            # lists are comma-separated, booleans true/false (1/0, yes/no, on/off)
+            p.add_argument("--" + f.name.replace("_", "-"), help=f.type)
     return parser
 
 
@@ -560,7 +553,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         _validate(cfg)
-        return _COMMANDS[args.command.replace("-", "_")](cfg)
+        command = args.command.replace("-", "_")
+        run, required = _COMMANDS[command]
+        for name in required:
+            if getattr(cfg, name) in (None, ()):  # an empty list is none
+                raise ConfigError(f"{command} requires {name}")
+        return run(cfg)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -26,10 +26,10 @@ def mass(f: Field) -> float:
     return float(2.0 * np.pi * np.sum(c.real**2 + c.imag**2))
 
 
-def energy(f: Field, model: ModelSpec | None = None) -> float:
+def energy(f: Field, model: ModelSpec) -> float:
     """Conserved energy of the flow.
 
-    For the default (pseudo-attractive) model this is
+    For the pseudo-attractive model this is
 
         E(u) = 1/2 int |u_x|^2 + 1/4 int |u|^4 - 1/4 int |(|u|^2)_x|^2,
 
@@ -40,8 +40,6 @@ def energy(f: Field, model: ModelSpec | None = None) -> float:
     trapezoidal sums on the grid (the quartic term aliases, acceptably at
     the working resolutions).
     """
-    if model is None:
-        model = ModelSpec.pseudo_attractive()
     w = 2.0 * np.pi / f.grid.n_points  # periodic trapezoid weight
     ux = spectral_derivative(f, 1).values
     s = f.values.real**2 + f.values.imag**2

@@ -365,7 +365,7 @@ def planewave_deviation(
     tau: float,
     n_steps: int,
     grid: GridSpec,
-    model: ModelSpec | None = None,
+    model: ModelSpec,
     perturbation: Perturbation | None = None,
 ) -> tuple[float, float | None]:
     """March a (possibly perturbed) wave train and track its deviation.
@@ -383,8 +383,6 @@ def planewave_deviation(
     Raises ValueError when k or a sideband of the perturbation is not
     representable on the grid.
     """
-    if model is None:
-        model = ModelSpec.pseudo_attractive()
     exact0 = exact_plane_wave(a, k, 0.0, grid)
     x = grid.nodes
     modulus = a

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import shlex
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,6 @@ from qlsplit.cli import (
     build_parser,
     main,
     parse_config,
-    serialize_config,
 )
 from qlsplit.model import Gaussian, ModelSpec
 from qlsplit.spectral import GridSpec
@@ -54,9 +54,13 @@ def config_from_argv(argv: list[str]) -> ExperimentConfig:
     return _config_from_args(build_parser().parse_args(argv))
 
 
+def to_json(cfg: ExperimentConfig) -> str:
+    return json.dumps(dataclasses.asdict(cfg))
+
+
 def write_config(tmp_path, cfg: ExperimentConfig) -> str:
     path = tmp_path / "config.json"
-    path.write_text(serialize_config(cfg))
+    path.write_text(to_json(cfg))
     return str(path)
 
 
@@ -68,10 +72,10 @@ def read_csv(path):
 class TestConfigRoundTrip:
     def test_default_round_trip(self):
         cfg = ExperimentConfig()
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert parse_config(to_json(cfg)) == cfg
 
     def test_populated_round_trip(self):
-        assert parse_config(serialize_config(POPULATED)) == POPULATED
+        assert parse_config(to_json(POPULATED)) == POPULATED
 
     def test_flags_give_the_json_config(self, tmp_path):
         argv = ["converge"]
@@ -138,6 +142,45 @@ class TestValidation:
     def test_missing_config_file(self):
         rc = main(["simulate", "--config", "/no/such/config.json"])
         assert rc == EXIT_CONFIG
+
+    def test_stepper_fields_are_config_fields(self):
+        # the CLI passes each of them to StepperConfig by name
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+        for f in dataclasses.fields(StepperConfig):
+            if f.name != "tau":
+                assert defaults[f.name] == f.default, f.name
+
+
+HINTS = typing.get_type_hints(ExperimentConfig)
+FLOAT_FIELDS = [name for name, kind in HINTS.items() if kind in (float, float | None)]
+FLOAT_LIST_FIELDS = [name for name, kind in HINTS.items()
+                     if kind in (tuple[float, ...], tuple[float, ...] | None)]
+
+
+@pytest.mark.parametrize("source, text", [
+    pytest.param("flag", "nan", id="flag-nan"),
+    pytest.param("flag", "inf", id="flag-inf"),
+    pytest.param("flag", "-inf", id="flag-minus-inf"),
+    pytest.param("json", "NaN", id="json-nan"),
+    pytest.param("json", "Infinity", id="json-infinity"),
+    pytest.param("json", "1" + "0" * 400, id="json-int-beyond-float"),
+])
+@pytest.mark.parametrize("name", FLOAT_FIELDS + FLOAT_LIST_FIELDS)
+def test_non_finite_float_is_config_error(tmp_path, capsys, name, source, text):
+    # a stability run that the bad value alone stops
+    flag = source == "flag"
+    values = {"amplitude_grid": "0.5" if flag else "[0.5]",
+              name: text if flag or name in FLOAT_FIELDS else f"[{text}]"}
+    argv = ["stability", "--output", str(tmp_path / "r")]
+    if flag:
+        argv += [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in values.items()) + "}")
+        argv += ["--config", str(path)]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("r*"))
 
 
 SMALL_RUN = ["--n-points", "64", "--n-steps", "10", "--t-final", "0.01"]
@@ -223,6 +266,8 @@ PLANE_WAVE_200 = [*PLANE_WAVE, "--n-steps", "200", "--t-final", "0.2"]
     pytest.param(["simulate", *SMALL_RUN], '{"experiment": "converge"}',
                  id="json-experiment-key"),
     pytest.param(["simulate", *SMALL_RUN], '{"tau": 0.001}', id="json-tau-key"),
+    pytest.param(["simulate", *SMALL_RUN], '{"n_points": 1' + "0" * 5000 + "}",
+                 id="json-int-beyond-digit-limit"),
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, argv, config):
     argv = argv + ["--output", str(tmp_path / "r")]
@@ -502,6 +547,29 @@ class TestPlanewaveCheck:
         report = json.loads((tmp_path / "pw_planewave.json").read_text())
         growth = report["perturbation_energy_growth"]
         assert growth >= 10.0 if unstable else growth < 2.0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--mollify-eps", "0.05"), ("--krasny-delta", "1e-3"), ("--dealias", "true"),
+    ])
+    def test_rejects_filters(self, tmp_path, capsys, flag, value):
+        rc = main([*PLANE_WAVE, flag, value, "--output", str(tmp_path / "pw")])
+        assert rc == EXIT_CONFIG
+        assert "measures the unfiltered scheme" in capsys.readouterr().err
+        assert not list(tmp_path.glob("pw*"))
+
+    def test_unstable_carrier_is_named(self, tmp_path, capsys):
+        # below sqrt(2)/2 the carrier k = 1 grows from roundoff at its
+        # self-paired sideband k - N/2; the carrier k = 0 does not
+        run = ["planewave-check", "--n-points", "256", "--amplitude", "0.7070067811865475",
+               "--n-steps", "8000", "--t-final", "0.016", "--output", str(tmp_path / "pw")]
+        rc = main([*run, "--wavenumber", "1", "--perturbation-mode", "21"])
+        assert rc == EXIT_CONFIG
+        assert "wave train deviates by 0.18 of its own L2 norm" in capsys.readouterr().err
+        assert not list(tmp_path.glob("pw*"))
+        rc = main([*run, "--wavenumber", "0", "--perturbation-mode", "20"])
+        assert rc == EXIT_OK
+        report = json.loads((tmp_path / "pw_planewave.json").read_text())
+        assert report["perturbation_energy_growth"] == pytest.approx(1.0, abs=5e-4)
 
     def test_requires_wavenumber(self, tmp_path):
         cfg = ExperimentConfig(

@@ -43,9 +43,12 @@ class TestMass:
         assert mass(f) == pytest.approx(l2_norm(f) ** 2, rel=1e-12)
 
 
+PSEUDO = ModelSpec.pseudo_attractive()
+
+
 class TestEnergy:
     def test_zero(self, grid):
-        assert energy(Field(grid, np.zeros(grid.n_points))) == 0.0
+        assert energy(Field(grid, np.zeros(grid.n_points)), PSEUDO) == 0.0
 
     @pytest.mark.parametrize("a,k", [(1.0, 1), (0.5, 3), (1.2, -2)])
     def test_plane_wave_closed_form(self, a, k):
@@ -53,18 +56,18 @@ class TestEnergy:
         g = GridSpec(64)
         f = Field(g, a * np.exp(1j * k * g.nodes))
         expected = np.pi * a**2 * k**2 + 0.5 * np.pi * a**4
-        assert energy(f) == pytest.approx(expected, abs=1e-10)
+        assert energy(f, PSEUDO) == pytest.approx(expected, abs=1e-10)
 
     def test_unit_plane_wave_value(self, grid):
         f = Field(grid, np.exp(1j * grid.nodes))
-        assert energy(f) == pytest.approx(np.pi + np.pi / 2, abs=1e-10)
+        assert energy(f, PSEUDO) == pytest.approx(np.pi + np.pi / 2, abs=1e-10)
 
     def test_steep_gradient_drives_energy_negative(self):
         # the quasilinear term enters with a minus sign for the
         # pseudo-attractive model
         g = GridSpec(512)
         f = build_initial_condition(Gaussian(1.3, 0.05), g)
-        assert energy(f) < 0.0
+        assert energy(f, PSEUDO) < 0.0
 
     def test_thin_film_energy_positive_for_same_data(self):
         g = GridSpec(512)
