@@ -88,20 +88,15 @@ def numpy_version() -> str:
     return numpy.__version__
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", type=Path, required=True,
-                        help="src/ directory of the tree to compare against")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_kernel.json")
-    args = parser.parse_args()
+def compare(base_src: Path) -> dict:
+    """Time base_src against this checkout's src/; the record --out holds."""
     head_src = ROOT / "src"
-
     runs = {n: {"base": [], "head": []} for n in STEPS}
     for rep in range(REPEATS):
         order = ("base", "head") if rep % 2 == 0 else ("head", "base")
         for n_points, n_steps in STEPS.items():
             for side in order:
-                src = args.base if side == "base" else head_src
+                src = base_src if side == "base" else head_src
                 runs[n_points][side].append(time_step(src, n_points, n_steps))
         print(f"repeat {rep + 1}/{REPEATS} done", file=sys.stderr)
 
@@ -118,12 +113,12 @@ def main() -> int:
         print(f"N = {n_points:5d}: {base['median_us']:8.1f} -> "
               f"{head['median_us']:8.1f} us/step "
               f"({results[-1]['speedup']:.2f}x)")
-    report = {
+    return {
         "script": "benchmarks/bench_kernel.py",
         "metric": "run_simulation microseconds per step, median of repeats",
         "workload": {"model": "pseudo_attractive", "ic": "Gaussian(0.2, 0.2)",
                      "tau": TAU, "record_every": 100},
-        "base_commit": commit(args.base),
+        "base_commit": commit(base_src),
         "head_commit": commit(head_src),
         "repeats": REPEATS,
         "machine": machine(),
@@ -131,7 +126,15 @@ def main() -> int:
         "numpy": numpy_version(),
         "results": results,
     }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path, required=True,
+                        help="src/ directory of the tree to compare against")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_kernel.json")
+    args = parser.parse_args()
+    args.out.write_text(json.dumps(compare(args.base), indent=2) + "\n")
     return 0
 
 

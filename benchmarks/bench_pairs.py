@@ -16,7 +16,9 @@ from BENCHMARK.json and a `within_bound` flag.  For the `--claim` metric
 it also holds the median gain next to the base's interquartile distance,
 and `met`: the change won at least 9 of 10 pairs and its median gain, in
 the metric's better direction, exceeds that distance.  `--control` runs a
-second workload the same way, with no claim, under the key "control".
+second workload the same way, with no claim, under the key "control", and
+`--kernel` adds `benchmarks/bench_kernel.py`'s microseconds per step of
+both src/ trees under the key "kernel".
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bench_kernel import commit, machine, numpy_version
+from bench_kernel import commit, compare, machine, numpy_version
 
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = {
@@ -124,6 +126,8 @@ def main() -> int:
     parser.add_argument("--claim", help="end-to-end metric the change claims")
     parser.add_argument("--control", help="second workload, run without a claim")
     parser.add_argument("--control-seeds", type=seed_range, default=[])
+    parser.add_argument("--kernel", action="store_true",
+                        help="also time both src/ trees with benchmarks/bench_kernel.py")
     parser.add_argument("--change", default="", help="one line saying what changed")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
@@ -141,6 +145,8 @@ def main() -> int:
         report["control"] = pairs(
             args.base, args.control, args.control_seeds, args.seconds, None
         )
+    if args.kernel:
+        report["kernel"] = compare(args.base / "src")
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
 

@@ -12,8 +12,9 @@ overridden from the command line.  The subcommand selects the experiment
 Input rules come from the config dataclasses and one table per choice:
 each value is read by its ``ExperimentConfig`` annotation and every float
 must be finite; ``_IC_KINDS`` names each initial condition's shape field,
-``_COMMANDS`` the fields each subcommand requires, and the stepper takes
-every ``StepperConfig`` field but tau from the config field of its name.
+``_COMMANDS`` the fields each subcommand requires or leaves at their
+defaults, and the stepper takes every ``StepperConfig`` field but tau
+from the config field of its name.
 Every stepping run takes the step tau = t_final / n_steps; converge takes
 n_steps from each nt_ladder entry.  planewave-check measures the
 unfiltered scheme, so it rejects every spectral filter.  Its perturbation
@@ -505,15 +506,18 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-# subcommand -> (runner, the fields it requires); planewave_check has no
-# default perturbation_mode because mode k + 1 would be relative wavenumber
-# 1, neutral at every amplitude
+# subcommand -> (runner, the fields it requires, the fields it never reads and
+# so must keep their defaults); planewave_check has no default perturbation_mode
+# because mode k + 1 would be relative wavenumber 1, neutral at every amplitude
 _COMMANDS = {
-    "simulate": (cmd_simulate, ()),
-    "converge": (cmd_converge, ("nt_ladder", "reference_n_steps")),
-    "stability": (cmd_stability, ("amplitude_grid",)),
-    "planewave_check": (cmd_planewave_check, ("wavenumber", "perturbation_mode")),
+    "simulate": (cmd_simulate, (), ()),
+    "converge": (cmd_converge, ("nt_ladder", "reference_n_steps"), ()),
+    "stability": (cmd_stability, ("amplitude_grid",), ()),
+    "planewave_check": (cmd_planewave_check, ("wavenumber", "perturbation_mode"), (
+        "ic_kind", "width", "wavenumbers", "snapshot_times", "record_every",
+        "blowup_factor", "energy_guard_factor")),
 }
+_DEFAULTS = ExperimentConfig()
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -522,7 +526,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
     else:
-        cfg = ExperimentConfig()
+        cfg = _DEFAULTS
     updates = {
         name: _typed(name, getattr(args, name), from_flag=True)
         for name in _FIELD_TYPES if getattr(args, name) is not None
@@ -554,10 +558,15 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(args)
         _validate(cfg)
         command = args.command.replace("-", "_")
-        run, required = _COMMANDS[command]
+        run, required, unread = _COMMANDS[command]
         for name in required:
             if getattr(cfg, name) in (None, ()):  # an empty list is none
                 raise ConfigError(f"{command} requires {name}")
+        # ic_kind may also name the plane wave that planewave_check steps
+        changed = [name for name in unread
+                   if getattr(cfg, name) not in (getattr(_DEFAULTS, name), "plane_wave")]
+        if changed:
+            raise ConfigError(f"{command} does not read {', '.join(changed)}; unset them")
         return run(cfg)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""PDE family definition, nonlinear potential, exact solutions, initial data.
+"""PDE family definition, exact solutions, initial data.
 
 The equation family is
 
@@ -131,27 +131,6 @@ def _check_mode(k: int, grid: GridSpec, what: str) -> None:
             f"{what} {k} is not representable on a grid with "
             f"{grid.n_points} points (need |k| < N/2)"
         )
-
-
-def _potential(model: ModelSpec, s: np.ndarray, neg_k2: np.ndarray) -> np.ndarray:
-    """f(s) + sign * g'(s) * (g(s))_xx for s = |u|^2 on the nodes.
-
-    ``neg_k2`` is the second-derivative multiplier -k^2 in FFT order; the
-    Laplacian is a raw FFT round trip whose imaginary residue is dropped.
-    """
-    if model.f_coeffs == (0.0, 1.0) and model.g_coeffs == (0.0, 1.0):
-        # f(s) = g(s) = s, as in every preset: polyval(s, (0, 1)) is s bit
-        # for bit and g'(s) = 1, so the three polyval calls drop out.
-        v = s
-        if model.quasilinear_sign != 0:
-            lap = np.fft.ifft(neg_k2 * np.fft.fft(s)).real
-            v = s + lap if model.quasilinear_sign > 0 else s - lap
-    else:
-        v = P.polyval(s, model.f_coeffs)
-        if model.quasilinear_sign != 0:
-            lap = np.fft.ifft(neg_k2 * np.fft.fft(P.polyval(s, model.g_coeffs))).real
-            v = v + model.quasilinear_sign * P.polyval(s, model.gprime_coeffs) * lap
-    return v
 
 
 def exact_plane_wave(a: float, k: int, t: float, grid: GridSpec) -> Field:

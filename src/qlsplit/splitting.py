@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from . import diagnostics
 from .model import (
@@ -23,7 +24,6 @@ from .model import (
     ModelSpec,
     Perturbation,
     _check_mode,
-    _potential,
     build_initial_condition,
     exact_plane_wave,
 )
@@ -156,11 +156,18 @@ class _StepKernel:
     ) -> None:
         self.model = model
         self.tau = tau
-        self.neg_k2 = -grid._k_squared
+        n = grid.n_points
+        self.neg_k2 = -grid._k_squared[: n // 2 + 1]  # rfft half spectrum, Nyquist kept
         self.half_kick = np.exp(-1j * grid._k_squared * (tau / 2.0))
         self.moll_weights = _filter_weights(grid, mollify_eps, dealias)
         self.krasny_delta = krasny_delta
-        n = grid.n_points
+        mult = 1.0 if self.moll_weights is None else self.moll_weights[: n // 2 + 1]
+        # f(s) = g(s) = s, as in every preset: V = s + sign * s_xx, so the
+        # potential and its filter are one multiplier W * (1 - sign * k^2)
+        self._linear = model.f_coeffs == model.g_coeffs == (0.0, 1.0)
+        if self._linear:
+            mult = mult * (1.0 + model.quasilinear_sign * self.neg_k2)
+        self._v_mult = None if np.all(mult == 1.0) else mult  # None: no FFT pass
         self._s = np.empty(n)
         self._work = np.empty(n)
         self._phase = np.empty(n, dtype=np.complex128)
@@ -168,10 +175,15 @@ class _StepKernel:
         self._sin = self._phase.imag
 
     def potential(self, s: np.ndarray) -> np.ndarray:
-        """The model potential of s = |u|^2, filtered by the spectral weights."""
-        v = _potential(self.model, s, self.neg_k2)
-        if self.moll_weights is not None:
-            v = np.fft.ifft(self.moll_weights * np.fft.fft(v)).real
+        """f(s) + sign * g'(s) * (g(s))_xx for s = |u|^2, filtered by the weights."""
+        v, m = s, self.model
+        if not self._linear:
+            v = P.polyval(s, m.f_coeffs)
+            if m.quasilinear_sign != 0:
+                lap = np.fft.irfft(self.neg_k2 * np.fft.rfft(P.polyval(s, m.g_coeffs)), len(s))
+                v = v + m.quasilinear_sign * P.polyval(s, m.gprime_coeffs) * lap
+        if self._v_mult is not None:
+            v = np.fft.irfft(self._v_mult * np.fft.rfft(v), len(s))
         return v
 
     def kick(self, f_half: np.ndarray) -> tuple[np.ndarray, float]:

@@ -268,6 +268,11 @@ PLANE_WAVE_200 = [*PLANE_WAVE, "--n-steps", "200", "--t-final", "0.2"]
     pytest.param(["simulate", *SMALL_RUN], '{"tau": 0.001}', id="json-tau-key"),
     pytest.param(["simulate", *SMALL_RUN], '{"n_points": 1' + "0" * 5000 + "}",
                  id="json-int-beyond-digit-limit"),
+    pytest.param(["planewave-check", "--n-points", "64", "--amplitude", "0.5",
+                  "--wavenumber", "1", "--n-steps", "100", "--t-final", "0.1",
+                  "--perturbation-mode", "2", "--ic-kind", "multi_mode",
+                  "--snapshot-times", "0.05", "--blowup-factor", "1.01"], None,
+                 id="planewave-unread-fields"),
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, argv, config):
     argv = argv + ["--output", str(tmp_path / "r")]
@@ -323,6 +328,8 @@ class TestSimulate:
             n_points=256, ic_kind="multi_mode", amplitude=0.65,
             wavenumbers=(2, 8), width=None, n_steps=500, t_final=0.01,
             blowup_factor=1.8, record_every=50, output=out,
+            # a seed, not roundoff, sets the onset (see test_splitting)
+            perturbation_mode=100, perturbation_amplitude=2e-8,
         )
         rc = main(["simulate", "--config", write_config(tmp_path, cfg)])
         assert rc == EXIT_BLOWUP
@@ -556,6 +563,24 @@ class TestPlanewaveCheck:
         assert rc == EXIT_CONFIG
         assert "measures the unfiltered scheme" in capsys.readouterr().err
         assert not list(tmp_path.glob("pw*"))
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--ic-kind", "multi_mode"), ("--width", "0.5"), ("--wavenumbers", "1,2"),
+        ("--snapshot-times", "0.005"), ("--record-every", "5"),
+        ("--blowup-factor", "1.01"), ("--energy-guard-factor", "10"),
+    ])
+    def test_rejects_unread_fields(self, tmp_path, capsys, flag, value):
+        rc = main([*PLANE_WAVE, flag, value, "--output", str(tmp_path / "pw")])
+        assert rc == EXIT_CONFIG
+        name = flag[2:].replace("-", "_")
+        assert f"planewave_check does not read {name};" in capsys.readouterr().err
+        assert not list(tmp_path.glob("pw*"))
+
+    def test_unread_fields_at_their_defaults_pass(self, tmp_path):
+        # ic_kind may name the plane wave the check steps
+        rc = main([*PLANE_WAVE, "--ic-kind", "plane_wave", "--width", "0.2",
+                   "--record-every", "100", "--output", str(tmp_path / "pw")])
+        assert rc == EXIT_OK
 
     def test_unstable_carrier_is_named(self, tmp_path, capsys):
         # below sqrt(2)/2 the carrier k = 1 grows from roundoff at its

@@ -18,12 +18,13 @@ from qlsplit import (
     run_simulation,
     spectral_derivative,
 )
-from qlsplit.model import _potential
+from qlsplit.splitting import _StepKernel
 
 
 def potential(model, f):
     """The model potential of the field f, as the step's kick evaluates it."""
-    return _potential(model, f.values.real**2 + f.values.imag**2, -f.grid._k_squared)
+    s = f.values.real**2 + f.values.imag**2
+    return _StepKernel(f.grid, model, 1.0).potential(s)
 
 
 def pde_residual(model, a, k, grid):

@@ -10,6 +10,7 @@ from qlsplit import (
     GridSpec,
     ModelSpec,
     MultiMode,
+    Perturbation,
     StepperConfig,
     exact_plane_wave,
     l2_norm,
@@ -17,6 +18,8 @@ from qlsplit import (
     nonlinear_phase_step,
     run_simulation,
 )
+
+from qlsplit.splitting import _StepKernel
 
 from conftest import one_step, random_field
 
@@ -37,8 +40,11 @@ def reference_weights(grid, mollify_eps=None, dealias=False):
     return weights
 
 
-def reference_potential(model, s, grid, weights=None):
-    """The original potential: three polyval calls, then the filter weights."""
+def complex_potential(model, s, grid, weights=None):
+    """The complex-FFT potential: three polyval calls, an fft/ifft Laplacian,
+    then an fft/ifft pass of the filter weights.  The oracle the real-FFT
+    potential must match within roundoff.
+    """
     k2 = grid.wavenumbers.astype(np.float64) ** 2
     v = P.polyval(s, model.f_coeffs)
     if model.quasilinear_sign != 0:
@@ -49,11 +55,35 @@ def reference_potential(model, s, grid, weights=None):
     return v
 
 
+def reference_potential(model, s, grid, weights=None):
+    """The run kernel's arithmetic on the real-FFT half spectrum k = 0..N/2.
+
+    For f = g = id, V = irfft(W (1 - sign k^2) rfft(s)) in one pass (V = s
+    when that multiplier is 1); otherwise three polyval calls with an
+    rfft/irfft Laplacian, then an rfft/irfft pass of the weights W.
+    """
+    n = grid.n_points
+    k2 = np.arange(n // 2 + 1, dtype=np.float64) ** 2
+    w = np.ones(n // 2 + 1) if weights is None else weights[: n // 2 + 1]
+    if model.f_coeffs == (0.0, 1.0) and model.g_coeffs == (0.0, 1.0):
+        v, mult = s, w * (1.0 - model.quasilinear_sign * k2)
+    else:
+        v, mult = P.polyval(s, model.f_coeffs), w
+        if model.quasilinear_sign != 0:
+            lap = np.fft.irfft(-k2 * np.fft.rfft(P.polyval(s, model.g_coeffs)), n)
+            v = v + model.quasilinear_sign * P.polyval(s, model.gprime_coeffs) * lap
+    if (mult != 1.0).any():
+        v = np.fft.irfft(mult * np.fft.rfft(v), n)
+    return v
+
+
 def reference_states(model, u0, tau, n_steps, mollify_eps=None,
-                     krasny_delta=None, dealias=False):
+                     krasny_delta=None, dealias=False, potential=reference_potential):
     """The original unfused step loop: u_1, ..., u_n, one whole step each.
 
-    Kept as the reference the fused run loop must match bit for bit.
+    Kept as the reference the fused run loop must match bit for bit, with
+    the run kernel's potential; with ``complex_potential`` it is the
+    complex-FFT loop that runs must stay near within roundoff.
     """
     half_kick = np.exp(-1j * u0.grid.wavenumbers.astype(np.float64) ** 2 * (tau / 2.0))
     weights = reference_weights(u0.grid, mollify_eps, dealias)
@@ -62,7 +92,7 @@ def reference_states(model, u0, tau, n_steps, mollify_eps=None,
     for _ in range(n_steps):
         u_mid = np.fft.ifft(f_raw * half_kick)
         s = u_mid.real**2 + u_mid.imag**2
-        u_mid *= np.exp(-1j * tau * reference_potential(model, s, u0.grid, weights))
+        u_mid *= np.exp(-1j * tau * potential(model, s, u0.grid, weights))
         f_raw = np.fft.fft(u_mid)
         if weights is not None:
             f_raw *= weights
@@ -120,6 +150,94 @@ class TestNonlinearPhaseStep:
             for tau in (1e-4, 1e-2, 0.5):
                 out = nonlinear_phase_step(model, Field(grid, u), tau, mollify_eps)
                 assert np.array_equal(out.values, u * np.exp(-1j * tau * v))
+
+
+class TestRealFFTPotential:
+    FILTERS = [{}, {"mollify_eps": 0.05}, {"mollify_eps": 0.3}, {"dealias": True}]
+
+    @pytest.mark.parametrize("filters", FILTERS,
+                             ids=["unfiltered", "mollify-0.05", "mollify-0.3", "dealias"])
+    @pytest.mark.parametrize("model", MODELS,
+                             ids=["plain", "thin-film", "cubic", "polynomial"])
+    def test_matches_complex_fft_potential(self, model, filters):
+        # the complex spelling filters an unfiltered V whose Laplacian
+        # reaches (N/2)^2 max s, so both agree to roundoff of that scale
+        rng = np.random.default_rng(37)
+        for n in (128, 4096):
+            grid = GridSpec(n)
+            u = 1.3 * rng.uniform(0, 1, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+            s = u.real**2 + u.imag**2
+            v = _StepKernel(grid, model, 1e-3, **filters).potential(s)
+            ref = complex_potential(model, s, grid, reference_weights(grid, **filters))
+            scale = np.abs(complex_potential(model, s, grid)).max()
+            assert np.abs(v - ref).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize(
+        "model, filters",
+        [
+            (MODEL, {}),
+            (MODEL, {"mollify_eps": 0.05, "dealias": True, "krasny_delta": 1e-6}),
+            (ModelSpec.thin_film(), {"mollify_eps": 0.3}),
+            (ModelSpec.cubic_nls(), {"dealias": True}),
+            (ModelSpec(f_coeffs=(0, 1, 0.5), g_coeffs=(0, 1, 0.25)), {"mollify_eps": 0.3}),
+        ],
+        ids=["plain", "all-filters", "thin-film-mollify", "cubic-dealias",
+             "polynomial-mollify"],
+    )
+    def test_run_stays_near_complex_fft_loop(self, model, filters):
+        # tau (N/2)^2 = 2.0 stays below the resonance pi, so roundoff is not
+        # amplified; at tau = 1e-3 (4.1) the plain run drifts 1.5e-4 apart
+        grid = GridSpec(128)
+        tau, n_steps = 5e-4, 300
+        u0 = Field(grid, 0.5 * np.exp(-grid.nodes**2 / (2 * 0.3**2))
+                   * np.exp(1j * np.cos(grid.nodes)))
+        cfg = StepperConfig(tau=tau, record_every=n_steps, **filters)
+        rec = run_simulation(model, u0, grid, cfg, tau * n_steps)
+        ref = reference_states(model, u0, tau, n_steps, potential=complex_potential,
+                               **filters)
+        assert np.abs(rec.final_field.values - ref[-1]).max() < 1e-13
+
+    @pytest.mark.parametrize("model, factor", [
+        (MODEL, lambda n: 1 - n**2 / 4),
+        (ModelSpec.thin_film(), lambda n: 1 + n**2 / 4),
+        (ModelSpec.cubic_nls(), lambda n: 1),
+        # g(s) = 2 s takes the polyval path: V = s + 4 s_xx
+        (ModelSpec(g_coeffs=(0, 2)), lambda n: 1 - n**2),
+    ], ids=["plain", "thin-film", "cubic", "polynomial"])
+    def test_laplacian_keeps_nyquist_mode(self, model, factor):
+        # s_j = c + eps (-1)^j is the Nyquist mode N/2 on a constant; its
+        # second derivative is -(N/2)^2 times it, not 0
+        c, eps = 0.3, 1e-3
+        for n in (64, 256, 4096):
+            alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+            v = _StepKernel(GridSpec(n), model, 1e-3).potential(c + eps * alt)
+            expected = c + eps * factor(n) * alt
+            assert np.abs(v - expected).max() <= 1e-13 * (c + eps * n**2)
+
+    def test_carrier_one_aliasing_threshold(self):
+        # the sideband k - N/2 of the carrier k = 1 pairs with itself through
+        # the Nyquist mode and grows above sqrt((N^2/4 - kN) / (2 (N^2/4 - 1))),
+        # 0.70158 at N = 256 (README); seed it with eps (-1)^j e^{ix}
+        n, tau, n_steps = 256, 2e-6, 8000
+        grid = GridSpec(n)
+        threshold = np.sqrt((n**2 / 4 - n) / (2 * (n**2 / 4 - 1)))
+        assert threshold == pytest.approx(0.70158, abs=1e-5)
+        alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+
+        def peak_growth(a):
+            kernel = _StepKernel(grid, MODEL, tau)
+            f = np.fft.fft((a + 1e-10 * alt) * np.exp(1j * grid.nodes))
+            start = abs(f[n - 127])  # FFT index of the mode 1 - N/2
+            f *= kernel.half_kick
+            peak = start
+            for _ in range(n_steps):
+                f, _ = kernel.kick(f)
+                peak = max(peak, abs(f[n - 127]))
+                f *= kernel.half_kick
+            return peak / start
+
+        assert peak_growth(threshold - 1e-4) < 2.0
+        assert peak_growth(threshold + 2e-4) > 10.0
 
 
 class TestStrangStep:
@@ -367,10 +485,14 @@ class TestBlowupGuards:
 
 
     def test_amplitude_trigger_multimode(self):
-        # the pseudo-attractive large-data run takes off almost immediately
+        # the pseudo-attractive large-data run takes off almost immediately;
+        # the seed, not roundoff, sets the onset (3.74e-3 with either the
+        # complex-FFT or the real-FFT potential; unseeded it moves with the
+        # roundoff, from 7.1e-3 to 1.03e-2)
         grid = GridSpec(256)
         cfg = StepperConfig(tau=2e-5, blowup_factor=1.8, record_every=50)
-        rec = run_simulation(MODEL, MultiMode(0.65, (2, 8)), grid, cfg, 0.01)
+        ic = MultiMode(0.65, (2, 8), Perturbation(mode=100, amplitude=2e-8))
+        rec = run_simulation(MODEL, ic, grid, cfg, 0.01)
         assert rec.blew_up
         assert rec.blowup.trigger == "amplitude"
         assert rec.blowup.onset_time < 0.01
