@@ -12,9 +12,10 @@ overridden from the command line.  The subcommand selects the experiment
 Input rules come from the config dataclasses and one table per choice:
 each value is read by its ``ExperimentConfig`` annotation and every float
 must be finite; ``_IC_KINDS`` names each initial condition's shape field,
-``_COMMANDS`` the fields each subcommand requires or leaves at their
-defaults, and the stepper takes every ``StepperConfig`` field but tau
-from the config field of its name.
+which simulate and converge read for the configured kind only;
+``_COMMANDS`` the fields each subcommand requires or leaves unset or at
+their defaults, and the stepper takes every ``StepperConfig`` field but
+tau from the config field of its name.
 Every stepping run takes the step tau = t_final / n_steps; converge takes
 n_steps from each nt_ladder entry.  planewave-check measures the
 unfiltered scheme, so it rejects every spectral filter.  Its perturbation
@@ -152,12 +153,13 @@ def _typed(name: str, value: object, from_flag: bool = False) -> object:
     A flag value is a string to parse; list fields take comma-separated
     items.  A JSON value must already have the field's type: an integer
     field takes no float and no bool, a float field takes any number, a
-    tuple field takes a list, and null is only for ``X | None`` fields.
-    Every float, list items included, must be finite.
+    tuple field takes a list, and null is only for ``X | None`` fields,
+    whose flags take ``none`` in any case.  Every float, list items
+    included, must be finite.
     """
     kind = _FIELD_TYPES[name]
     if type(None) in typing.get_args(kind):
-        if value is None:
+        if value is None or from_flag and value.strip().lower() == "none":
             return None
         kind = typing.get_args(kind)[0]
     if typing.get_origin(kind) is tuple:
@@ -507,15 +509,17 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
 
 
 # subcommand -> (runner, the fields it requires, the fields it never reads and
-# so must keep their defaults); planewave_check has no default perturbation_mode
-# because mode k + 1 would be relative wavenumber 1, neutral at every amplitude
+# so must be unset or keep their defaults, whether it builds the configured
+# initial condition and so never reads the other kinds' shape fields);
+# planewave_check has no default perturbation_mode because mode k + 1 would be
+# relative wavenumber 1, neutral at every amplitude
 _COMMANDS = {
-    "simulate": (cmd_simulate, (), ()),
-    "converge": (cmd_converge, ("nt_ladder", "reference_n_steps"), ()),
-    "stability": (cmd_stability, ("amplitude_grid",), ()),
+    "simulate": (cmd_simulate, (), (), True),
+    "converge": (cmd_converge, ("nt_ladder", "reference_n_steps"), (), True),
+    "stability": (cmd_stability, ("amplitude_grid",), (), False),
     "planewave_check": (cmd_planewave_check, ("wavenumber", "perturbation_mode"), (
         "ic_kind", "width", "wavenumbers", "snapshot_times", "record_every",
-        "blowup_factor", "energy_guard_factor")),
+        "blowup_factor", "energy_guard_factor"), False),
 }
 _DEFAULTS = ExperimentConfig()
 
@@ -558,13 +562,16 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(args)
         _validate(cfg)
         command = args.command.replace("-", "_")
-        run, required, unread = _COMMANDS[command]
+        run, required, unread, builds_ic = _COMMANDS[command]
         for name in required:
             if getattr(cfg, name) in (None, ()):  # an empty list is none
                 raise ConfigError(f"{command} requires {name}")
+        if builds_ic:
+            unread += tuple(shape for kind, (_, shape) in _IC_KINDS.items()
+                            if kind != cfg.ic_kind)
         # ic_kind may also name the plane wave that planewave_check steps
-        changed = [name for name in unread
-                   if getattr(cfg, name) not in (getattr(_DEFAULTS, name), "plane_wave")]
+        changed = [name for name in unread if getattr(cfg, name)
+                   not in (None, getattr(_DEFAULTS, name), "plane_wave")]
         if changed:
             raise ConfigError(f"{command} does not read {', '.join(changed)}; unset them")
         return run(cfg)

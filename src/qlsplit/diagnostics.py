@@ -47,7 +47,7 @@ def energy(f: Field, model: ModelSpec) -> float:
     e = 0.5 * w * float(np.sum(ux.real**2 + ux.imag**2))
     e += 0.5 * w * float(np.sum(P.polyval(s, f_anti)))
     if model.quasilinear_sign != 0:
-        gx = spectral_derivative(Field(f.grid, model.g(s)), 1).values.real
+        gx = spectral_derivative(Field(f.grid, P.polyval(s, model.g_coeffs)), 1).values.real
         e -= model.quasilinear_sign * 0.25 * w * float(np.sum(gx**2))
     return e
 

@@ -53,9 +53,6 @@ class ModelSpec:
         derived = tuple(float(c) for c in P.polyder(self.g_coeffs))
         object.__setattr__(self, "gprime_coeffs", derived or (0.0,))
 
-    def g(self, s: np.ndarray) -> np.ndarray:
-        return P.polyval(s, self.g_coeffs)
-
     @classmethod
     def pseudo_attractive(cls) -> "ModelSpec":
         """f(s) = s, g(s) = s, sign +1 (the model driving the blow-up study)."""

@@ -186,6 +186,15 @@ class _StepKernel:
             v = np.fft.irfft(self._v_mult * np.fft.rfft(v), len(s))
         return v
 
+    def phase(self, s: np.ndarray) -> np.ndarray:
+        """exp(-i tau V) for s = |u|^2, in the kernel's buffer."""
+        arg = np.multiply(self.potential(s), -self.tau, out=self._work)
+        # cos + i sin of -tau V equals exp(-1j * tau * V) bit for bit, at
+        # about half the cost of the complex exp.
+        np.cos(arg, out=self._cos)
+        np.sin(arg, out=self._sin)
+        return self._phase
+
     def kick(self, f_half: np.ndarray) -> tuple[np.ndarray, float]:
         """Phase kick, filters and trailing half flight of one step.
 
@@ -197,12 +206,7 @@ class _StepKernel:
         s = self._s
         np.square(u.real, out=s)
         s += np.square(u.imag, out=self._work)
-        arg = np.multiply(self.potential(s), -self.tau, out=self._work)
-        # cos + i sin of -tau V equals exp(-1j * tau * V) bit for bit, at
-        # about half the cost of the complex exp.
-        np.cos(arg, out=self._cos)
-        np.sin(arg, out=self._sin)
-        u *= self._phase
+        u *= self.phase(s)
         f_new = np.fft.fft(u)
         if self.moll_weights is not None:
             f_new *= self.moll_weights
@@ -213,11 +217,6 @@ class _StepKernel:
             if peak > 0.0:
                 f_new[mags < self.krasny_delta * peak] = 0.0
         return f_new, float(s.max())
-
-    def advance(self, f_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One whole Strang step on a raw spectrum; returns (spectrum, state)."""
-        f_new, _ = self.kick(f_raw * self.half_kick)
-        return f_new, np.fft.ifft(f_new)
 
 
 def nonlinear_phase_step(
@@ -230,8 +229,8 @@ def nonlinear_phase_step(
     With ``mollify_eps`` set, the frequency cutoff is applied to V.
     """
     s = f.values.real**2 + f.values.imag**2
-    v = _StepKernel(f.grid, model, tau, mollify_eps).potential(s)
-    return Field(f.grid, f.values * np.exp(-1j * tau * v))
+    kernel = _StepKernel(f.grid, model, tau, mollify_eps)
+    return Field(f.grid, f.values * kernel.phase(s))
 
 
 def _step_index(t: float, tau: float, what: str) -> int:
@@ -407,15 +406,18 @@ def planewave_deviation(
     energy0 = diagnostics.mass(Field(grid, u0.values - exact0.values))
 
     kernel = _StepKernel(grid, model, tau)
-    f_raw = np.fft.fft(u0.values)
+    # f is the raw spectrum after the leading half flight of step n, as in
+    # run_simulation
+    f = np.fft.fft(u0.values) * kernel.half_kick
     max_dev = 0.0
     max_energy = energy0
     for n in range(1, n_steps + 1):
-        f_raw, u = kernel.advance(f_raw)
+        f, _ = kernel.kick(f)
         exact = exact_plane_wave(a, k, n * tau, grid)
-        dev = l2_norm(Field(grid, u - exact.values))
+        dev = l2_norm(Field(grid, np.fft.ifft(f) - exact.values))
         max_dev = max(max_dev, dev)
         max_energy = max(max_energy, dev * dev)
         if not np.isfinite(dev):
             break
+        f *= kernel.half_kick
     return max_dev, max_energy / energy0 if energy0 > 0 else None

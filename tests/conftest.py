@@ -20,5 +20,6 @@ def random_field(grid: GridSpec, rng: np.random.Generator, scale: float = 1.0) -
 
 def one_step(model, f: Field, tau: float, **filters) -> Field:
     """One whole Strang step of the run kernel from f; tau may be negative."""
-    _, u = _StepKernel(f.grid, model, tau, **filters).advance(np.fft.fft(f.values))
-    return Field(f.grid, u)
+    kernel = _StepKernel(f.grid, model, tau, **filters)
+    f_end, _ = kernel.kick(np.fft.fft(f.values) * kernel.half_kick)
+    return Field(f.grid, np.fft.ifft(f_end))

@@ -98,6 +98,8 @@ class TestConfigRoundTrip:
         ("--snapshot-times", "0,.5,", (0.0, 0.5)),
         *[("--dealias", word, True) for word in ("1", "true", "YES", "on")],
         *[("--dealias", word, False) for word in ("0", "False", "no", "off")],
+        *[("--mollify-eps", word, None) for word in ("none", "None", "NONE")],
+        ("--width", "none", None),
     ])
     def test_flag_spellings(self, flag, text, expected):
         cfg = config_from_argv(["simulate", flag, text])
@@ -273,6 +275,19 @@ PLANE_WAVE_200 = [*PLANE_WAVE, "--n-steps", "200", "--t-final", "0.2"]
                   "--perturbation-mode", "2", "--ic-kind", "multi_mode",
                   "--snapshot-times", "0.05", "--blowup-factor", "1.01"], None,
                  id="planewave-unread-fields"),
+    pytest.param(["simulate", "--n-points", "64", "--ic-kind", "multi_mode",
+                  "--wavenumbers", "1,2", "--width", "0.5", "--amplitude", "0.1",
+                  "--n-steps", "10", "--t-final", "0.01"], None,
+                 id="simulate-unread-shape-field"),
+    pytest.param(["converge", "--n-points", "64", "--ic-kind", "multi_mode",
+                  "--wavenumbers", "1,2", "--width", "0.5", "--amplitude", "0.1",
+                  *LADDER], None,
+                 id="converge-unread-shape-field"),
+    pytest.param(["simulate", *SMALL_RUN, "--wavenumber", "3"], None,
+                 id="gaussian-unread-wavenumber"),
+    # none unsets only X | None fields
+    pytest.param(["simulate", *SMALL_RUN, "--amplitude", "none"], None,
+                 id="amplitude-none"),
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, argv, config):
     argv = argv + ["--output", str(tmp_path / "r")]
@@ -338,6 +353,25 @@ class TestSimulate:
         assert 0 < sidecar["onset_time"] < 0.01
         assert sidecar["n_steps"] == 500
         assert sidecar["tau"] == 0.01 / 500
+
+    def test_none_flag_unsets_a_json_filter(self, tmp_path):
+        run = ExperimentConfig(n_points=64, amplitude=0.5, width=0.5, n_steps=40,
+                               t_final=0.04, record_every=10)
+        plain = dataclasses.replace(run, output=str(tmp_path / "plain"))
+        assert main(["simulate", "--config", write_config(tmp_path, plain)]) == EXIT_OK
+        filtered = dataclasses.replace(run, mollify_eps=0.05, output=str(tmp_path / "off"))
+        rc = main(["simulate", "--config", write_config(tmp_path, filtered),
+                   "--mollify-eps", "none"])
+        assert rc == EXIT_OK
+        assert (tmp_path / "off.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_unset_shape_field_of_another_kind_passes(self, tmp_path):
+        rc = main(["simulate", "--n-points", "64", "--ic-kind", "multi_mode",
+                   "--wavenumbers", "1,2", "--width", "none", "--amplitude", "0.1",
+                   "--n-steps", "10", "--t-final", "0.01",
+                   "--output", str(tmp_path / "mm")])
+        assert rc == EXIT_OK
+        assert (tmp_path / "mm.csv").exists()
 
     def test_cli_overrides(self, tmp_path):
         out = str(tmp_path / "ovr")
@@ -580,6 +614,9 @@ class TestPlanewaveCheck:
         # ic_kind may name the plane wave the check steps
         rc = main([*PLANE_WAVE, "--ic-kind", "plane_wave", "--width", "0.2",
                    "--record-every", "100", "--output", str(tmp_path / "pw")])
+        assert rc == EXIT_OK
+        # or they may be unset
+        rc = main([*PLANE_WAVE, "--width", "none", "--output", str(tmp_path / "pw")])
         assert rc == EXIT_OK
 
     def test_unstable_carrier_is_named(self, tmp_path, capsys):

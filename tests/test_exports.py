@@ -1,7 +1,11 @@
-"""The package namespace and the library modules' ``__all__`` agree."""
+"""The package namespace and the library modules' ``__all__`` agree, and
+every benchmark tracer target resolves."""
 
+import importlib
+import importlib.util
 import inspect
 import types
+from pathlib import Path
 
 import qlsplit
 from qlsplit import diagnostics, model, spectral, splitting, stability
@@ -83,3 +87,16 @@ def test_every_public_definition_is_exported():
             and value.__module__ == module.__name__
         }
         assert defined - set(module.__all__) == set(), module.__name__
+
+
+def test_every_benchmark_tracer_target_resolves():
+    # the benchmark's tracer wraps these module attributes; it imports only
+    # the standard library, so it loads here without the benchmark harness
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    missing = [(module, attr) for module, attr, _ in spans.TARGETS
+               if not hasattr(importlib.import_module(module), attr)]
+    assert not missing

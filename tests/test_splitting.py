@@ -16,6 +16,7 @@ from qlsplit import (
     l2_norm,
     mass,
     nonlinear_phase_step,
+    planewave_deviation,
     run_simulation,
 )
 
@@ -465,6 +466,34 @@ class TestFusedLoopMatchesReference:
         out = one_step(MODEL, u0, 2e-3, krasny_delta=1e-4)
         ref = reference_states(MODEL, u0, 2e-3, 1, krasny_delta=1e-4)
         assert np.array_equal(out.values, ref[0])
+
+
+class TestPlanewaveDeviation:
+    @pytest.mark.parametrize("perturbation", [None, Perturbation(mode=5, amplitude=1e-6)],
+                             ids=["unperturbed", "perturbed"])
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("model", [MODEL, ModelSpec.thin_film()],
+                             ids=["plain", "thin-film"])
+    def test_bit_for_bit(self, model, k, perturbation):
+        # the same modulus seed and sums as planewave_deviation, stepped by
+        # the unfused reference loop
+        grid = GridSpec(64)
+        a, tau, n_steps = 0.6, 5e-4, 200
+        modulus = a
+        if perturbation is not None:
+            modulus = a + perturbation.amplitude * np.cos((perturbation.mode - k) * grid.nodes)
+        u0 = Field(grid, modulus * np.exp(1j * k * grid.nodes))
+        energy0 = mass(Field(grid, u0.values - exact_plane_wave(a, k, 0.0, grid).values))
+        max_dev, max_energy = 0.0, energy0
+        for n, u in enumerate(reference_states(model, u0, tau, n_steps), start=1):
+            exact = exact_plane_wave(a, k, n * tau, grid)
+            dev = l2_norm(Field(grid, u - exact.values))
+            max_dev = max(max_dev, dev)
+            max_energy = max(max_energy, dev * dev)
+        growth = max_energy / energy0 if energy0 > 0 else None
+        assert (perturbation is None) == (growth is None)
+        out = planewave_deviation(a, k, tau, n_steps, grid, model, perturbation)
+        assert out == (max_dev, growth)
 
 
 class TestBlowupGuards:
