@@ -11,17 +11,17 @@ overridden from the command line.  The subcommand selects the experiment
 
 Input rules come from the config dataclasses and one table per choice:
 each value is read by its ``ExperimentConfig`` annotation and every float
-must be finite; ``_IC_KINDS`` names each initial condition's shape field,
-which simulate and converge read for the configured kind only;
-``_COMMANDS`` the fields each subcommand requires or leaves unset or at
-their defaults, and the stepper takes every ``StepperConfig`` field but
-tau from the config field of its name.
-Every stepping run takes the step tau = t_final / n_steps; converge takes
-n_steps from each nt_ladder entry.  planewave-check measures the
-unfiltered scheme, so it rejects every spectral filter.  Its perturbation
-of mode m seeds the modulus, (a + eps cos((m - k) x)) e^{ikx}, so m and
-its partner 2k - m must be representable, and its L2 norm must be more
-than 100 times the unperturbed march's max deviation.
+must be finite; ``_COMMANDS`` names the fields each subcommand requires
+or reads, and every other field must be unset or keep its default (so
+stability, the pseudo-attractive closed form, keeps model and n_points,
+and planewave-check, on the unfiltered scheme, keeps the filters off);
+``_IC_KINDS`` names the shape field read with each ``ic_kind``.  Every
+stepping run takes tau = t_final / n_steps, converge each nt_ladder entry
+as n_steps, and the stepper every ``StepperConfig`` field but tau from
+the config field of its name.  planewave-check's perturbation of mode m
+seeds the modulus, (a + eps cos((m - k) x)) e^{ikx}, so m and its partner
+2k - m must be representable, and its L2 norm must be more than 100
+times the unperturbed march's max deviation.
 
 Exit codes: 0 success, 2 configuration error, 3 run halted by the blow-up
 guard, 4 reference-run failure in a convergence study.
@@ -138,11 +138,9 @@ class ExperimentConfig:
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 # every StepperConfig field but the step is the config field of that name
 _STEPPER_FIELDS = [f.name for f in dataclasses.fields(StepperConfig) if f.name != "tau"]
-# the spectral filters are the step kernel's optional arguments, with their off values
-_FILTERS = {
-    name: p.default for name, p in inspect.signature(_StepKernel).parameters.items()
-    if p.default is not p.empty
-}
+# the spectral filters are the step kernel's optional arguments
+_FILTERS = [name for name, p in inspect.signature(_StepKernel).parameters.items()
+            if p.default is not p.empty]
 _FLAG_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
@@ -461,11 +459,6 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
 
 def cmd_planewave_check(cfg: ExperimentConfig) -> int:
     """Measure split-step exactness on a wave train, plus perturbed growth."""
-    filtered = [name for name, off in _FILTERS.items() if getattr(cfg, name) != off]
-    if filtered:
-        raise ConfigError(
-            f"planewave_check measures the unfiltered scheme; unset {', '.join(filtered)}"
-        )
     k, n_steps = cfg.wavenumber, cfg.n_steps
     tau = cfg.t_final / n_steps
     pert = Perturbation(mode=cfg.perturbation_mode, amplitude=cfg.perturbation_amplitude)
@@ -508,18 +501,21 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-# subcommand -> (runner, the fields it requires, the fields it never reads and
-# so must be unset or keep their defaults, whether it builds the configured
-# initial condition and so never reads the other kinds' shape fields);
-# planewave_check has no default perturbation_mode because mode k + 1 would be
-# relative wavenumber 1, neutral at every amplitude
+# subcommand -> (runner, the fields it requires, the other fields it reads);
+# ic_kind brings its kind's shape field, and every other field must be unset or
+# at its default.  converge sets n_steps and record_every per run and writes no
+# snapshots.  A default perturbation_mode k + 1 would be neutral at every amplitude.
+_RUN = ("model", "n_points", "ic_kind", "amplitude", "perturbation_mode",
+        "perturbation_amplitude", "t_final", *_STEPPER_FIELDS, "output")
 _COMMANDS = {
-    "simulate": (cmd_simulate, (), (), True),
-    "converge": (cmd_converge, ("nt_ladder", "reference_n_steps"), (), True),
-    "stability": (cmd_stability, ("amplitude_grid",), (), False),
+    "simulate": (cmd_simulate, (), ("n_steps", *_RUN)),
+    "converge": (cmd_converge, ("nt_ladder", "reference_n_steps"), tuple(
+        name for name in _RUN if name not in ("record_every", "snapshot_times"))),
+    "stability": (cmd_stability, ("amplitude_grid",),
+                  ("xi_max", "growth_tau", "growth_wavenumbers", "output")),
     "planewave_check": (cmd_planewave_check, ("wavenumber", "perturbation_mode"), (
-        "ic_kind", "width", "wavenumbers", "snapshot_times", "record_every",
-        "blowup_factor", "energy_guard_factor"), False),
+        "model", "n_points", "amplitude", "perturbation_amplitude", "t_final",
+        "n_steps", "output")),
 }
 _DEFAULTS = ExperimentConfig()
 
@@ -562,16 +558,16 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(args)
         _validate(cfg)
         command = args.command.replace("-", "_")
-        run, required, unread, builds_ic = _COMMANDS[command]
+        run, required, reads = _COMMANDS[command]
         for name in required:
             if getattr(cfg, name) in (None, ()):  # an empty list is none
                 raise ConfigError(f"{command} requires {name}")
-        if builds_ic:
-            unread += tuple(shape for kind, (_, shape) in _IC_KINDS.items()
-                            if kind != cfg.ic_kind)
+        reads = required + reads + ((_IC_KINDS[cfg.ic_kind][1],) if "ic_kind" in reads else ())
+        changed = [name for name in _FIELD_TYPES if name not in reads
+                   and getattr(cfg, name) not in (None, getattr(_DEFAULTS, name))]
         # ic_kind may also name the plane wave that planewave_check steps
-        changed = [name for name in unread if getattr(cfg, name)
-                   not in (None, getattr(_DEFAULTS, name), "plane_wave")]
+        if command == "planewave_check" and cfg.ic_kind == "plane_wave":
+            changed.remove("ic_kind")
         if changed:
             raise ConfigError(f"{command} does not read {', '.join(changed)}; unset them")
         return run(cfg)

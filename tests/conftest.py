@@ -20,6 +20,5 @@ def random_field(grid: GridSpec, rng: np.random.Generator, scale: float = 1.0) -
 
 def one_step(model, f: Field, tau: float, **filters) -> Field:
     """One whole Strang step of the run kernel from f; tau may be negative."""
-    kernel = _StepKernel(f.grid, model, tau, **filters)
-    f_end, _ = kernel.kick(np.fft.fft(f.values) * kernel.half_kick)
+    _, f_end, _ = next(_StepKernel(f.grid, model, tau, **filters).march(f.values, 1))
     return Field(f.grid, np.fft.ifft(f_end))

@@ -17,8 +17,9 @@ from qlsplit.cli import (
     EXIT_REFERENCE,
     ConfigError,
     ExperimentConfig,
+    _COMMANDS,
+    _IC_KINDS,
     _config_from_args,
-    _validate,
     build_parser,
     main,
     parse_config,
@@ -288,6 +289,21 @@ PLANE_WAVE_200 = [*PLANE_WAVE, "--n-steps", "200", "--t-final", "0.2"]
     # none unsets only X | None fields
     pytest.param(["simulate", *SMALL_RUN, "--amplitude", "none"], None,
                  id="amplitude-none"),
+    # fields the subcommand does not read must be unset or at their defaults
+    pytest.param(["stability", "--amplitude-grid", "0.8", "--model", "cubic"], None,
+                 id="stability-unread-model"),
+    pytest.param(["stability", "--amplitude-grid", "0.8", "--n-points", "64",
+                  "--mollify-eps", "0.1"], None, id="stability-unread-grid-and-filter"),
+    pytest.param(["simulate", *SMALL_RUN, "--nt-ladder", "10,20"], None,
+                 id="simulate-unread-nt-ladder"),
+    pytest.param(["converge", "--n-points", "64", *LADDER, "--snapshot-times", "0.005"],
+                 None, id="converge-unread-snapshot-times"),
+    pytest.param(["converge", "--n-points", "64", *LADDER, "--n-steps", "7"], None,
+                 id="converge-unread-n-steps"),
+    pytest.param(["converge", "--n-points", "64", *LADDER, "--record-every", "3"], None,
+                 id="converge-unread-record-every"),
+    pytest.param([*PLANE_WAVE, "--amplitude-grid", "0.1"], None,
+                 id="planewave-unread-amplitude-grid"),
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, argv, config):
     argv = argv + ["--output", str(tmp_path / "r")]
@@ -298,6 +314,16 @@ def test_malformed_input_is_config_error(tmp_path, capsys, argv, config):
     assert main(argv) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.glob("r*"))
+
+
+def test_command_table_covers_every_field():
+    # a field that no subcommand reads, or a misspelt name, fails here
+    fields = set(HINTS)
+    named = {shape for _, shape in _IC_KINDS.values()}
+    for command, (_, required, reads) in _COMMANDS.items():
+        assert set(required) | set(reads) <= fields, command
+        named |= set(required) | set(reads)
+    assert named == fields
 
 
 class TestSimulate:
@@ -595,7 +621,8 @@ class TestPlanewaveCheck:
     def test_rejects_filters(self, tmp_path, capsys, flag, value):
         rc = main([*PLANE_WAVE, flag, value, "--output", str(tmp_path / "pw")])
         assert rc == EXIT_CONFIG
-        assert "measures the unfiltered scheme" in capsys.readouterr().err
+        name = flag[2:].replace("-", "_")
+        assert f"planewave_check does not read {name};" in capsys.readouterr().err
         assert not list(tmp_path.glob("pw*"))
 
     @pytest.mark.parametrize("flag, value", [
@@ -664,12 +691,15 @@ def test_readme_example_config_parses():
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
-def test_readme_cli_commands_parse(tmp_path, argv):
-    # read the config and flags as main does, without stepping
+def test_readme_cli_commands_parse(tmp_path, monkeypatch, argv):
+    # every input rule of main, with a runner that does not step
     config = tmp_path / "run.json"
     config.write_text(readme_block("json", "Example config:"))
     redirect = {"--output": str(tmp_path / "out"), "--config": str(config)}
     argv = [redirect.get(prev, arg) for prev, arg in zip([None, *argv], argv)]
-    cfg = _config_from_args(build_parser().parse_args(argv))
-    _validate(cfg)
-    assert cfg.output == str(tmp_path / "out")
+    command = argv[0].replace("-", "_")
+    seen = []
+    monkeypatch.setitem(_COMMANDS, command,
+                        (lambda cfg: seen.append(cfg) or EXIT_OK, *_COMMANDS[command][1:]))
+    assert main(argv) == EXIT_OK
+    assert seen[0].output == str(tmp_path / "out")
