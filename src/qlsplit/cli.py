@@ -23,8 +23,8 @@ seeds the modulus, (a + eps cos((m - k) x)) e^{ikx}, so m and its partner
 2k - m must be representable, and its L2 norm must be more than 100
 times the unperturbed march's max deviation.
 
-Exit codes: 0 success, 2 configuration error, 3 run halted by the blow-up
-guard, 4 reference-run failure in a convergence study.
+Exit codes: 0 success, 2 configuration error, 3 blow-up guard halt or a
+non-finite planewave-check march, 4 convergence reference-run failure.
 """
 
 from __future__ import annotations
@@ -465,7 +465,7 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
     grid = GridSpec(cfg.n_points)
     model = _MODELS[cfg.model]()
     try:
-        _, growth = planewave_deviation(cfg.amplitude, k, tau, n_steps, grid, model, pert)
+        pert_dev, growth = planewave_deviation(cfg.amplitude, k, tau, n_steps, grid, model, pert)
         max_dev, _ = planewave_deviation(cfg.amplitude, k, tau, n_steps, grid, model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -483,6 +483,9 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
             "underflow to 0; the unperturbed wave train deviates by "
             f"{share:.2g} of its own L2 norm a sqrt(2 pi)"
         )
+    if pert_dev == math.inf:
+        print("the perturbed march turned non-finite; no growth to report")
+        return EXIT_BLOWUP
 
     _write_json(cfg.output + "_planewave.json", {
         "amplitude": cfg.amplitude,

@@ -8,7 +8,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .model import ModelSpec
-from .spectral import Field, h1_seminorm, l2_norm, spectral_derivative
+from .spectral import Field, _power, h1_seminorm, l2_norm
 
 __all__ = [
     "mass",
@@ -22,8 +22,7 @@ __all__ = [
 
 def mass(f: Field) -> float:
     """M(u) = integral of |u|^2, evaluated as 2*pi*sum_k |u_hat_k|^2."""
-    c = f.spectrum
-    return float(2.0 * np.pi * np.sum(c.real**2 + c.imag**2))
+    return _power(np.fft.fft(f.values))
 
 
 def energy(f: Field, model: ModelSpec) -> float:
@@ -36,19 +35,17 @@ def energy(f: Field, model: ModelSpec) -> float:
     whose quasilinear part enters with a minus sign, so steep |u|^2
     gradients can drive E negative.  For general polynomial f, g the
     middle term is 1/2 int F(|u|^2) with F' = f, and the last term is
-    sign/4 int |(g(|u|^2))_x|^2.  Derivatives are spectral; integrals are
-    trapezoidal sums on the grid (the quartic term aliases, acceptably at
-    the working resolutions).
+    sign/4 int |(g(|u|^2))_x|^2.  Gradient terms are Parseval sums; the
+    middle term is a trapezoidal sum on the grid (the quartic term aliases,
+    acceptably at the working resolutions).
     """
-    w = 2.0 * np.pi / f.grid.n_points  # periodic trapezoid weight
-    ux = spectral_derivative(f, 1).values
+    k2 = f.grid._k2_paired
     s = f.values.real**2 + f.values.imag**2
-    f_anti = P.polyint(model.f_coeffs)
-    e = 0.5 * w * float(np.sum(ux.real**2 + ux.imag**2))
-    e += 0.5 * w * float(np.sum(P.polyval(s, f_anti)))
+    e = 0.5 * _power(np.fft.fft(f.values), k2)
+    e += 0.5 * f.grid.spacing * float(np.sum(P.polyval(s, P.polyint(model.f_coeffs))))
     if model.quasilinear_sign != 0:
-        gx = spectral_derivative(Field(f.grid, P.polyval(s, model.g_coeffs)), 1).values.real
-        e -= model.quasilinear_sign * 0.25 * w * float(np.sum(gx**2))
+        g_raw = np.fft.fft(P.polyval(s, model.g_coeffs))
+        e -= model.quasilinear_sign * 0.25 * _power(g_raw, k2)
     return e
 
 

@@ -1,4 +1,4 @@
-"""Periodic grid, Fourier transform conventions, spectral operators and norms.
+"""Periodic grid, Fourier transform conventions, spectral filters and norms.
 
 Everything in this module works on the domain (-pi, pi] with N equispaced
 nodes.  Fourier coefficients follow the Fourier-series convention: the
@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "Field",
-    "spectral_derivative",
     "l2_norm",
     "h1_seminorm",
 ]
@@ -70,13 +69,12 @@ class GridSpec:
         return k2
 
     @cached_property
-    def _k_first_derivative(self) -> np.ndarray:
-        """1j*k multiplier with the unpaired Nyquist mode -N/2 zeroed."""
-        k = self._k_float.copy()
-        k[self.n_points // 2] = 0.0
-        mult = 1j * k
-        mult.setflags(write=False)
-        return mult
+    def _k2_paired(self) -> np.ndarray:
+        """k**2 with the unpaired Nyquist mode -N/2 zeroed: the H1 weight."""
+        k2 = self._k_squared.copy()
+        k2[self.n_points // 2] = 0.0
+        k2.setflags(write=False)
+        return k2
 
     @cached_property
     def _coeff_phase(self) -> np.ndarray:
@@ -123,23 +121,6 @@ class Field:
         return coeffs
 
 
-def spectral_derivative(f: Field, order: int) -> Field:
-    """Differentiate by scaling mode k with (i*k)**order.
-
-    Only orders 1 and 2 are supported.  The unpaired Nyquist mode -N/2 is
-    zeroed for order 1 and kept (factor -N^2/4) for order 2.
-    """
-    if order == 1:
-        mult = f.grid._k_first_derivative
-    elif order == 2:
-        mult = -f.grid._k_squared
-    else:
-        raise ValueError(f"derivative order must be 1 or 2, got {order}")
-    # (-1)**k phases cancel for diagonal multipliers, so work on raw FFTs.
-    values = np.fft.ifft(mult * np.fft.fft(f.values))
-    return Field(f.grid, values)
-
-
 def _filter_weights(
     grid: GridSpec, mollify_eps: float | None, dealias: bool
 ) -> np.ndarray | None:
@@ -158,12 +139,17 @@ def _filter_weights(
     return None if keep.all() else keep.astype(np.float64)
 
 
+def _power(raw: np.ndarray, weights: np.ndarray | float = 1.0) -> float:
+    """Parseval: 2*pi/N^2 * sum_k w_k |raw_k|^2 for the raw FFT of N nodes, the
+    integral of |u|^2 for w = 1 and of |u_x|^2 for w = ``GridSpec._k2_paired``."""
+    return float(2.0 * np.pi / len(raw) ** 2 * np.sum(weights * (raw.real**2 + raw.imag**2)))
+
+
 def l2_norm(f: Field) -> float:
     """Continuum L2(-pi, pi] norm via Parseval: sqrt(2*pi*sum_k |u_hat_k|^2)."""
-    c = f.spectrum
-    return float(np.sqrt(2.0 * np.pi * np.sum(c.real**2 + c.imag**2)))
+    return float(np.sqrt(_power(np.fft.fft(f.values))))
 
 
 def h1_seminorm(f: Field) -> float:
-    """L2 norm of the first spatial derivative."""
-    return l2_norm(spectral_derivative(f, 1))
+    """L2 norm of the first spatial derivative, the Nyquist mode -N/2 zeroed."""
+    return float(np.sqrt(_power(np.fft.fft(f.values), f.grid._k2_paired)))

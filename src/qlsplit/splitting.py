@@ -398,6 +398,7 @@ def planewave_deviation(
 
     Returns (max L2 deviation from the exact wave train over all steps,
     growth factor of the squared-L2 perturbation energy relative to t=0).
+    A march that turns non-finite stops there with max deviation math.inf.
     The growth factor is None when the start has no perturbation energy:
     an unperturbed start, or one whose energy underflows to 0.
     Raises ValueError when k or a sideband of the perturbation is not
@@ -418,8 +419,8 @@ def planewave_deviation(
     for n, f, _ in _StepKernel(grid, model, tau).march(u0.values, n_steps):
         exact = exact_plane_wave(a, k, n * tau, grid)
         dev = l2_norm(Field(grid, np.fft.ifft(f) - exact.values))
-        max_dev = max(max_dev, dev)
-        if not np.isfinite(dev):
+        max_dev = max(max_dev, dev) if math.isfinite(dev) else math.inf
+        if max_dev == math.inf:
             break
     # dev * dev rises with dev, so the peak energy is max_dev * max_dev
     return max_dev, max(energy0, max_dev * max_dev) / energy0 if energy0 > 0 else None

@@ -18,6 +18,23 @@ def random_field(grid: GridSpec, rng: np.random.Generator, scale: float = 1.0) -
     return Field(grid, values)
 
 
+def spectral_derivative(f: Field, order: int) -> Field:
+    """Differentiate by scaling mode k with (i*k)**order, on one FFT round trip.
+
+    The oracle for the library's Parseval norms and energy and for the PDE
+    residual.  Only orders 1 and 2 are supported.  The unpaired Nyquist
+    mode -N/2 is zeroed for order 1 and kept (factor -N^2/4) for order 2.
+    """
+    k = f.grid.wavenumbers.astype(np.float64)
+    if order == 1:
+        mult = 1j * np.where(k == -(f.grid.n_points // 2), 0.0, k)
+    elif order == 2:
+        mult = -(k**2)
+    else:
+        raise ValueError(f"derivative order must be 1 or 2, got {order}")
+    return Field(f.grid, np.fft.ifft(mult * np.fft.fft(f.values)))
+
+
 def one_step(model, f: Field, tau: float, **filters) -> Field:
     """One whole Strang step of the run kernel from f; tau may be negative."""
     _, f_end, _ = next(_StepKernel(f.grid, model, tau, **filters).march(f.values, 1))

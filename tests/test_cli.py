@@ -660,6 +660,16 @@ class TestPlanewaveCheck:
         report = json.loads((tmp_path / "pw_planewave.json").read_text())
         assert report["perturbation_energy_growth"] == pytest.approx(1.0, abs=5e-4)
 
+    def test_nonfinite_march_exits_blowup(self, tmp_path, capsys):
+        # a seed of 1e160 overflows |u|^2: the march turns nan, and the
+        # growth reading used to be written as NaN with exit 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main([*PLANE_WAVE_NO_MODE, "--amplitude", "0.5", "--perturbation-mode", "3",
+                       "--perturbation-amplitude", "1e160", "--output", str(tmp_path / "pw")])
+        assert rc == EXIT_BLOWUP
+        assert "perturbed march turned non-finite" in capsys.readouterr().out
+        assert not list(tmp_path.glob("pw*"))
+
     def test_requires_wavenumber(self, tmp_path):
         cfg = ExperimentConfig(
             n_points=64, amplitude=0.5, n_steps=200, t_final=0.2,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from qlsplit import (
     ConvergenceRow,
@@ -14,8 +15,12 @@ from qlsplit import (
     energy,
     error_norms,
     fit_order,
+    h1_seminorm,
+    l2_norm,
     mass,
 )
+
+from conftest import random_field, spectral_derivative
 
 
 class TestMass:
@@ -37,10 +42,10 @@ class TestMass:
         assert mass(f) == pytest.approx(0.0141796, abs=1e-7)
 
     def test_mass_equals_l2_squared(self, grid):
-        from qlsplit import l2_norm
         rng = np.random.default_rng(0)
         f = Field(grid, rng.standard_normal(grid.n_points) * (1 + 0.5j))
-        assert mass(f) == pytest.approx(l2_norm(f) ** 2, rel=1e-12)
+        # one Parseval sum: the L2 norm is the root of the mass, bit for bit
+        assert l2_norm(f) == np.sqrt(mass(f))
 
 
 PSEUDO = ModelSpec.pseudo_attractive()
@@ -78,13 +83,59 @@ class TestEnergy:
         rng = np.random.default_rng(1)
         f = Field(grid, rng.standard_normal(grid.n_points).astype(complex))
         e_cubic = energy(f, ModelSpec.cubic_nls())
-        from qlsplit import spectral_derivative
-
         ux = spectral_derivative(f, 1).values
         w = 2 * np.pi / grid.n_points
         s = np.abs(f.values) ** 2
         expected = 0.5 * w * np.sum(np.abs(ux) ** 2) + 0.25 * w * np.sum(s**2)
         assert e_cubic == pytest.approx(expected, rel=1e-12)
+
+
+def coefficient_mass(f):
+    """The coefficient spelling of the mass: 2*pi*sum_k |u_hat_k|^2."""
+    c = f.spectrum
+    return float(2.0 * np.pi * np.sum(c.real**2 + c.imag**2))
+
+
+def derivative_energy(f, model):
+    """The energy from spectral derivatives on the nodes, trapezoidal sums."""
+    w = 2.0 * np.pi / f.grid.n_points
+    ux = spectral_derivative(f, 1).values
+    s = f.values.real**2 + f.values.imag**2
+    e = 0.5 * w * float(np.sum(ux.real**2 + ux.imag**2))
+    e += 0.5 * w * float(np.sum(P.polyval(s, P.polyint(model.f_coeffs))))
+    if model.quasilinear_sign != 0:
+        gx = spectral_derivative(Field(f.grid, P.polyval(s, model.g_coeffs)), 1).values.real
+        e -= model.quasilinear_sign * 0.25 * w * float(np.sum(gx**2))
+    return e
+
+
+class TestParsevalMatchesDerivatives:
+    """The Parseval sums of the raw FFT against the coefficient and
+    spectral-derivative spellings, to roundoff of the field's size."""
+
+    MODELS = (PSEUDO, ModelSpec.thin_film(), ModelSpec.cubic_nls(),
+              ModelSpec(f_coeffs=(0.0, 1.0, 0.5), g_coeffs=(0.0, 1.0, 0.3)))
+
+    @pytest.mark.parametrize("kind", ["rough", "plane-wave", "zero", "nyquist"])
+    @pytest.mark.parametrize("n", [64, 256, 4096])
+    def test_within_roundoff(self, n, kind):
+        g = GridSpec(n)
+        values = {
+            "rough": random_field(g, np.random.default_rng(n), scale=0.5).values,
+            "plane-wave": 0.8 * np.exp(5j * g.nodes),
+            "zero": np.zeros(n),
+            "nyquist": 0.6 * np.exp(-0.5j * n * g.nodes),
+        }[kind]
+        f = Field(g, values)
+        old_mass = coefficient_mass(f)
+        pairs = [
+            (mass(f), old_mass),
+            (l2_norm(f), np.sqrt(old_mass)),
+            (h1_seminorm(f), np.sqrt(coefficient_mass(spectral_derivative(f, 1)))),
+            *((energy(f, m), derivative_energy(f, m)) for m in self.MODELS),
+        ]
+        for new, old in pairs:
+            assert abs(new - old) <= 1e-14 * max(abs(old), old_mass)
 
 
 class TestErrorNorms:

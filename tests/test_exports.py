@@ -44,7 +44,6 @@ PUBLIC_NAMES = [
     "nonlinear_phase_step",
     "planewave_deviation",
     "run_simulation",
-    "spectral_derivative",
     "split_step_mode_growth",
     "stability_threshold_scan",
     "two_by_two_eigenvalues",

@@ -16,9 +16,10 @@ from qlsplit import (
     exact_plane_wave,
     l2_norm,
     run_simulation,
-    spectral_derivative,
 )
 from qlsplit.splitting import _StepKernel
+
+from conftest import spectral_derivative
 
 
 def potential(model, f):

@@ -11,12 +11,11 @@ from qlsplit import (
     StepperConfig,
     h1_seminorm,
     l2_norm,
-    spectral_derivative,
 )
 from qlsplit.spectral import _filter_weights
 from qlsplit.splitting import _StepKernel
 
-from conftest import one_step, random_field
+from conftest import one_step, random_field, spectral_derivative
 
 # V = 0: with this model a Strang step is the free flight plus the filters
 FREE = ModelSpec(f_coeffs=(0.0,), quasilinear_sign=0)

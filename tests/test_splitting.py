@@ -1,5 +1,7 @@
 """Strang stepper, simulation driver and guards."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -417,29 +419,32 @@ class TestRunSimulation:
         assert np.allclose(rec.final_field.values, f.values, atol=1e-13)
 
 
+FUSED_CASES = pytest.mark.parametrize(
+    "model, filters",
+    [
+        (MODEL, {}),
+        (MODEL, {"mollify_eps": 0.05}),
+        (MODEL, {"dealias": True}),
+        (MODEL, {"krasny_delta": 1e-6}),
+        (MODEL, {"mollify_eps": 0.05, "dealias": True, "krasny_delta": 1e-6}),
+        (ModelSpec.thin_film(), {}),
+        (ModelSpec.cubic_nls(), {}),
+        (ModelSpec(f_coeffs=(0, 1, 0.5), g_coeffs=(0, 1, 0.25)), {}),
+    ],
+    ids=["plain", "mollify", "dealias", "krasny", "all-filters",
+         "thin-film", "cubic", "polynomial"],
+)
+
+
 class TestFusedLoopMatchesReference:
-    @pytest.mark.parametrize(
-        "model, filters",
-        [
-            (MODEL, {}),
-            (MODEL, {"mollify_eps": 0.05}),
-            (MODEL, {"dealias": True}),
-            (MODEL, {"krasny_delta": 1e-6}),
-            (MODEL, {"mollify_eps": 0.05, "dealias": True, "krasny_delta": 1e-6}),
-            (ModelSpec.thin_film(), {}),
-            (ModelSpec.cubic_nls(), {}),
-            (ModelSpec(f_coeffs=(0, 1, 0.5), g_coeffs=(0, 1, 0.25)), {}),
-        ],
-        ids=["plain", "mollify", "dealias", "krasny", "all-filters",
-             "thin-film", "cubic", "polynomial"],
-    )
-    def test_bit_for_bit(self, model, filters):
+    @FUSED_CASES
+    def test_bit_for_bit(self, model, filters, tau=1e-3):
         grid = GridSpec(128)
-        tau, n_steps = 1e-3, 300
+        n_steps = 300
         u0 = Field(grid, 0.5 * np.exp(-grid.nodes**2 / (2 * 0.3**2))
                    * np.exp(1j * np.cos(grid.nodes)))
         cfg = StepperConfig(
-            tau=tau, record_every=70, snapshot_times=(0.0, 0.013, 0.2), **filters
+            tau=tau, record_every=70, snapshot_times=(0.0, 13 * tau, 200 * tau), **filters
         )
         rec = run_simulation(model, u0, grid, cfg, tau * n_steps)
         ref = reference_states(model, u0, tau, n_steps, **filters)
@@ -453,6 +458,12 @@ class TestFusedLoopMatchesReference:
         assert rows == [0, 70, 140, 210, 280, 300]
         amps = [np.abs(ref[n - 1]).max() for n in rows[1:]]
         assert np.array_equal(rec.max_amplitude[1:], amps)
+
+    @FUSED_CASES
+    def test_bit_for_bit_below_resonance(self, model, filters):
+        # at tau = 1e-3, tau (N/2)^2 = 4.1 is past the resonance pi and
+        # roundoff grows about 1e11x in 300 steps; at 0.41 it does not
+        self.test_bit_for_bit(model, filters, tau=1e-4)
 
     def test_strang_step_is_one_reference_step(self):
         grid = GridSpec(128)
@@ -488,6 +499,17 @@ class TestPlanewaveDeviation:
         assert (perturbation is None) == (growth is None)
         out = planewave_deviation(a, k, tau, n_steps, grid, model, perturbation)
         assert out == (max_dev, growth)
+
+    def test_nonfinite_march_reads_inf(self):
+        # |u|^2 overflows, the potential turns inf and the state nan in the
+        # first kick; a nan deviation used to drop out of the max
+        grid = GridSpec(64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            unperturbed = planewave_deviation(1e200, 1, 1e-3, 5, grid, MODEL)
+            seeded, _ = planewave_deviation(0.5, 1, 1e-3, 5, grid, MODEL,
+                                            Perturbation(mode=3, amplitude=1e160))
+        assert unperturbed == (math.inf, None)
+        assert seeded == math.inf
 
 
 class TestBlowupGuards:
