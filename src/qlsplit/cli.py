@@ -436,22 +436,22 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"xi_max must be >= 1, got {cfg.xi_max}")
     if (cfg.growth_tau is None) != (not cfg.growth_wavenumbers):
         raise ConfigError("growth_tau and growth_wavenumbers must be given together")
-    verdicts = stability_threshold_scan(cfg.amplitude_grid, cfg.xi_max)
     # the rate is exact in extended precision; only its float64 value can overflow
-    if not all(math.isfinite(v.growth_rate) for v in verdicts):
+    with np.errstate(over="ignore"):
+        unstable, growth_rate = stability_threshold_scan(cfg.amplitude_grid, cfg.xi_max)
+    if not np.isfinite(growth_rate).all():
         raise ConfigError(
             "growth_rate overflows a float for some amplitude_grid entries at xi_max"
         )
     growth = None if cfg.growth_tau is None else _growth_multipliers(cfg)
     _write_csv(cfg.output + "_stability.csv",
                ["amplitude", "unstable", "worst_xi", "growth_rate"],
-               [(v.amplitude, int(v.unstable), v.worst_xi, v.growth_rate)
-                for v in verdicts])
+               [(a, int(u), cfg.xi_max if u else None, rate) for a, u, rate
+                in zip(cfg.amplitude_grid, unstable.tolist(), growth_rate.tolist())])
     if growth is not None:
         _write_multipliers_csv(cfg.output + "_multipliers.csv", cfg, growth)
-    n_unstable = sum(v.unstable for v in verdicts)
     print(
-        f"{len(verdicts)} amplitudes scanned, {n_unstable} unstable; "
+        f"{len(unstable)} amplitudes scanned, {unstable.sum()} unstable; "
         f"report in {cfg.output}_stability.csv"
     )
     return EXIT_OK
@@ -464,11 +464,18 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
     pert = Perturbation(mode=cfg.perturbation_mode, amplitude=cfg.perturbation_amplitude)
     grid = GridSpec(cfg.n_points)
     model = _MODELS[cfg.model]()
+    # a march that overflows is reported below, not by numpy's warnings
     try:
-        pert_dev, growth = planewave_deviation(cfg.amplitude, k, tau, n_steps, grid, model, pert)
-        max_dev, _ = planewave_deviation(cfg.amplitude, k, tau, n_steps, grid, model)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pert_dev, growth = planewave_deviation(cfg.amplitude, k, tau, n_steps, grid,
+                                                   model, pert)
+            max_dev, _ = planewave_deviation(cfg.amplitude, k, tau, n_steps, grid, model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for march, dev in (("unperturbed", max_dev), ("perturbed", pert_dev)):
+        if dev == math.inf:
+            print(f"the {march} march turned non-finite; no growth to report")
+            return EXIT_BLOWUP
     # with the seed eps cos((m - k) x) e^{ikx} (L2 norm |eps| sqrt(pi)) 100x
     # above the march's own deviation, roundoff moves the growth reading by
     # about 2% at most
@@ -483,9 +490,6 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
             "underflow to 0; the unperturbed wave train deviates by "
             f"{share:.2g} of its own L2 norm a sqrt(2 pi)"
         )
-    if pert_dev == math.inf:
-        print("the perturbed march turned non-finite; no growth to report")
-        return EXIT_BLOWUP
 
     _write_json(cfg.output + "_planewave.json", {
         "amplitude": cfg.amplitude,

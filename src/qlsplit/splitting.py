@@ -399,8 +399,9 @@ def planewave_deviation(
     Returns (max L2 deviation from the exact wave train over all steps,
     growth factor of the squared-L2 perturbation energy relative to t=0).
     A march that turns non-finite stops there with max deviation math.inf.
-    The growth factor is None when the start has no perturbation energy:
-    an unperturbed start, or one whose energy underflows to 0.
+    The growth factor is None when the start has no finite, nonzero
+    perturbation energy: an unperturbed start, or one whose energy
+    underflows to 0 or overflows.
     Raises ValueError when k or a sideband of the perturbation is not
     representable on the grid.
     """
@@ -423,4 +424,4 @@ def planewave_deviation(
         if max_dev == math.inf:
             break
     # dev * dev rises with dev, so the peak energy is max_dev * max_dev
-    return max_dev, max(energy0, max_dev * max_dev) / energy0 if energy0 > 0 else None
+    return max_dev, max(energy0, max_dev * max_dev) / energy0 if 0 < energy0 < math.inf else None

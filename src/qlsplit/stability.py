@@ -20,7 +20,6 @@ __all__ = [
     "PlaneWaveLinearization",
     "ModeGrowth",
     "SplitStepMultipliers",
-    "AmplitudeVerdict",
     "gn_matrix",
     "gn_eigenvalues",
     "two_by_two_eigenvalues",
@@ -63,16 +62,6 @@ class SplitStepMultipliers:
     growing: bool | np.ndarray
 
 
-@dataclass(frozen=True)
-class AmplitudeVerdict:
-    """Scan result for one carrier amplitude over a range of xi."""
-
-    amplitude: float
-    unstable: bool
-    worst_xi: int | None
-    growth_rate: float
-
-
 def gn_matrix(lin: PlaneWaveLinearization, dtype=np.complex128) -> np.ndarray:
     """2x2 coefficient matrix of the coupled perturbation pair.
 
@@ -94,10 +83,10 @@ def gn_matrix(lin: PlaneWaveLinearization, dtype=np.complex128) -> np.ndarray:
     return 1j * m
 
 
-def _discriminant(lin: PlaneWaveLinearization):
-    """2 a^2 xi^2 - 2 a^2 - xi^2, the radicand of the closed form."""
-    a2 = np.longdouble(lin.a) ** 2
-    xi2 = np.longdouble(lin.xi) ** 2
+def _discriminant(a, xi: int):
+    """2 a^2 xi^2 - 2 a^2 - xi^2, the closed form's radicand, elementwise in a."""
+    a2 = np.asarray(a, dtype=np.longdouble) ** 2
+    xi2 = np.longdouble(xi) ** 2
     return 2 * a2 * xi2 - 2 * a2 - xi2
 
 
@@ -108,7 +97,7 @@ def gn_eigenvalues(lin: PlaneWaveLinearization) -> ModeGrowth:
     square root is taken; the verdict is unstable exactly when the radicand
     is positive (equivalently, some eigenvalue has positive real part).
     """
-    r = _discriminant(lin)
+    r = _discriminant(lin.a, lin.xi)
     root = np.sqrt(np.clongdouble(r))
     xi_abs = np.longdouble(abs(lin.xi))
     doppler = np.clongdouble(-2j) * np.longdouble(lin.k) * np.longdouble(lin.xi)
@@ -131,26 +120,28 @@ def two_by_two_eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.array([half_trace + disc, half_trace - disc], dtype=m.dtype)
 
 
-def stability_threshold_scan(a_grid, xi_max: int) -> list[AmplitudeVerdict]:
+def stability_threshold_scan(a_grid, xi_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Modewise instability verdict over xi = 1..xi_max for each amplitude.
 
     The radicand (2a^2 - 1) xi^2 - 2a^2 is negative for every xi when
     2a^2 <= 1; above that it and the growth rate |xi| sqrt(radicand) increase
     strictly with xi.  So one closed-form evaluation at xi_max per amplitude
-    is exact, and worst_xi == xi_max whenever the verdict is unstable
-    (growth_rate is then max Re(lambda) there, else 0.0).  The scan takes
-    no carrier wavenumber: k only Doppler-shifts Im(lambda), so no field
-    of the verdict depends on it, and it is evaluated at k = 0.
+    is exact, and xi_max is the most unstable mode whenever one is unstable.
+    Returns the arrays (unstable, growth_rate): growth_rate is max Re(lambda)
+    at xi_max, rounded to float64 from extended precision (inf if it
+    overflows), where unstable, else 0.0.  The scan takes no carrier
+    wavenumber: k only Doppler-shifts Im(lambda), so no verdict depends on it.
     """
     if xi_max < 1:
         raise ValueError(f"xi_max must be >= 1, got {xi_max}")
-    out = []
-    for a in a_grid:
-        g = gn_eigenvalues(PlaneWaveLinearization(a=float(a), k=0, xi=xi_max))
-        rate = max(g.lambda_plus.real, g.lambda_minus.real) if g.unstable else 0.0
-        worst_xi = xi_max if g.unstable else None
-        out.append(AmplitudeVerdict(float(a), g.unstable, worst_xi, rate))
-    return out
+    a = np.asarray(a_grid, dtype=np.float64)
+    bad = ~((0 <= a) & (a < np.inf))
+    if bad.any():
+        raise ValueError(f"carrier amplitude must be finite and >= 0, got {a[bad][0]}")
+    r = _discriminant(a, xi_max)
+    unstable = r > 0
+    growth_rate = np.longdouble(xi_max) * np.sqrt(np.where(unstable, r, 0))
+    return unstable, growth_rate.astype(np.float64)
 
 
 def split_step_mode_growth(w_amplitude, tau: float, k) -> SplitStepMultipliers:

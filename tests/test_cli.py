@@ -5,6 +5,7 @@ import dataclasses
 import json
 import shlex
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from qlsplit.cli import (
 from qlsplit.model import Gaussian, ModelSpec
 from qlsplit.spectral import GridSpec
 from qlsplit.splitting import StepperConfig, run_simulation
-from qlsplit.stability import stability_threshold_scan
+from qlsplit.stability import PlaneWaveLinearization, gn_eigenvalues
 
 
 POPULATED = ExperimentConfig(
@@ -522,17 +523,18 @@ class TestStability:
 
 
 def reference_multipliers_csv(prefix, amplitude_grid, xi_max, tau, wavenumbers):
-    """The per-row writer that cmd_stability replaced with one broadcast
-    evaluation and buffered writes, with the scalar multiplier formula it
-    called inlined; kept as its reference."""
-    verdicts = stability_threshold_scan(amplitude_grid, xi_max)
+    """The per-row writer that cmd_stability replaced with array evaluations
+    and buffered writes, with one scalar closed-form eigenvalue call per
+    amplitude and the scalar multiplier formula it called inlined; kept as
+    its reference."""
     with open(prefix + "_stability.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["amplitude", "unstable", "worst_xi", "growth_rate"])
-        for v in verdicts:
+        for a in amplitude_grid:
+            g = gn_eigenvalues(PlaneWaveLinearization(a=float(a), k=0, xi=xi_max))
+            rate = max(g.lambda_plus.real, g.lambda_minus.real) if g.unstable else 0.0
             writer.writerow(
-                [repr(v.amplitude), int(v.unstable),
-                 "" if v.worst_xi is None else v.worst_xi, repr(v.growth_rate)]
+                [repr(float(a)), int(g.unstable), xi_max if g.unstable else "", repr(rate)]
             )
     with open(prefix + "_multipliers.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -565,13 +567,15 @@ EDGE_AMPLITUDES = [0.0, float(np.nextafter(THRESHOLD, 0.0)), THRESHOLD,
                    float(np.nextafter(THRESHOLD, 1.0)), 0.8, 1.0, 3.0, 1e3]
 
 
-@pytest.mark.parametrize("grid, tau, wavenumbers", [
-    pytest.param(jittered_scan_grid(), 1e-4, tuple(range(1, 33)), id="workload-shaped"),
-    pytest.param(EDGE_AMPLITUDES, 1e-4, (1, 2, 32, 1000), id="edges-small-tau"),
-    pytest.param(EDGE_AMPLITUDES, 0.37, (1, 2, 32, 1000), id="edges-large-tau"),
+@pytest.mark.parametrize("grid, xi_max, tau, wavenumbers", [
+    pytest.param(jittered_scan_grid(), 1024, 1e-4, tuple(range(1, 33)),
+                 id="workload-shaped"),
+    pytest.param(EDGE_AMPLITUDES, 1024, 1e-4, (1, 2, 32, 1000), id="edges-small-tau"),
+    pytest.param(EDGE_AMPLITUDES, 1024, 0.37, (1, 2, 32, 1000), id="edges-large-tau"),
+    pytest.param(jittered_scan_grid() + EDGE_AMPLITUDES, 8192, 1e-4, (1, 2),
+                 id="xi-max-8192"),
 ])
-def test_stability_csvs_match_per_row_writer(tmp_path, grid, tau, wavenumbers):
-    xi_max = 1024
+def test_stability_csvs_match_per_row_writer(tmp_path, grid, xi_max, tau, wavenumbers):
     want = str(tmp_path / "want")
     reference_multipliers_csv(want, grid, xi_max, tau, wavenumbers)
     got = str(tmp_path / "got")
@@ -583,6 +587,30 @@ def test_stability_csvs_match_per_row_writer(tmp_path, grid, tau, wavenumbers):
     for suffix in ("_stability.csv", "_multipliers.csv"):
         with open(got + suffix, "rb") as fh_got, open(want + suffix, "rb") as fh_want:
             assert fh_got.read() == fh_want.read(), suffix
+
+
+@pytest.mark.parametrize("argv, code, stream, message", [
+    pytest.param([*PLANE_WAVE_NO_MODE, "--amplitude", "1e200", "--perturbation-mode", "3"],
+                 EXIT_BLOWUP, "out",
+                 "the unperturbed march turned non-finite; no growth to report",
+                 id="planewave-carrier"),
+    pytest.param([*PLANE_WAVE_NO_MODE, "--amplitude", "0.5", "--perturbation-mode", "3",
+                  "--perturbation-amplitude", "1e160"],
+                 EXIT_BLOWUP, "out", "the perturbed march turned non-finite",
+                 id="planewave-seed"),
+    pytest.param(["stability", "--amplitude-grid", "0.5,1e306", "--xi-max", "1024"],
+                 EXIT_CONFIG, "err", "growth_rate overflows a float", id="scan-growth-rate"),
+])
+def test_overflow_is_reported_without_numpy_warnings(tmp_path, capsys, argv, code,
+                                                     stream, message):
+    # the CLI names the non-finite result itself; numpy's RuntimeWarnings
+    # would only precede its message on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*argv, "--output", str(tmp_path / "r")])
+    assert rc == code
+    assert message in getattr(capsys.readouterr(), stream)
+    assert not list(tmp_path.glob("r*"))
 
 
 class TestPlanewaveCheck:

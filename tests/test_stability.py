@@ -97,6 +97,8 @@ class TestGnMatrix:
     def test_rejects_negative_amplitude(self):
         with pytest.raises(ValueError):
             PlaneWaveLinearization(a=-0.1, k=0, xi=1)
+        with pytest.raises(ValueError):
+            stability_threshold_scan([0.9, -0.1], xi_max=8)
 
     @pytest.mark.parametrize("a", [np.nan, np.inf])
     def test_rejects_non_finite_amplitude(self, a):
@@ -190,38 +192,35 @@ class TestTwoByTwoEigensolve:
 
 class TestThresholdScan:
     def test_below_threshold_all_stable(self):
-        verdicts = stability_threshold_scan([0.0, 0.3, 0.70], xi_max=128)
-        assert all(not v.unstable for v in verdicts)
-        assert all(v.worst_xi is None for v in verdicts)
+        unstable, growth_rate = stability_threshold_scan([0.0, 0.3, 0.70], xi_max=128)
+        assert not unstable.any()
+        assert (growth_rate == 0.0).all()
 
     def test_above_threshold_unstable(self):
-        (v,) = stability_threshold_scan([0.71], xi_max=128)
-        assert v.unstable
-        assert v.worst_xi is not None
-        assert v.growth_rate > 0
+        unstable, growth_rate = stability_threshold_scan([0.71], xi_max=128)
+        assert unstable[0]
+        assert growth_rate[0] > 0
 
     def test_growth_rate_grows_with_xi(self):
         # the most unstable mode is the largest scanned one
-        (v64,) = stability_threshold_scan([0.8], xi_max=64)
-        (v128,) = stability_threshold_scan([0.8], xi_max=128)
-        assert v128.worst_xi == 128
-        assert v128.growth_rate > v64.growth_rate
+        _, rate64 = stability_threshold_scan([0.8], xi_max=64)
+        _, rate128 = stability_threshold_scan([0.8], xi_max=128)
+        assert rate128[0] > rate64[0]
 
     def test_verdict_flip_across_threshold(self):
-        verdicts = stability_threshold_scan(
+        unstable, _ = stability_threshold_scan(
             [0.70, 0.705, 0.7071, 0.708, 0.71], xi_max=128
         )
-        assert [v.unstable for v in verdicts] == [False, False, False, True, True]
+        assert unstable.tolist() == [False, False, False, True, True]
 
     def test_tiny_threshold_straddle_needs_large_xi(self):
         # +-1e-8 around the threshold flips only through very large xi
         a_plus = THRESHOLD + 1e-8
         a_minus = THRESHOLD - 1e-8
-        (vm,) = stability_threshold_scan([a_minus], xi_max=8192)
-        (vp,) = stability_threshold_scan([a_plus], xi_max=8192)
-        assert not vm.unstable
-        assert vp.unstable
-        assert vp.worst_xi > 5000
+        unstable, _ = stability_threshold_scan([a_minus, a_plus], xi_max=8192)
+        assert unstable.tolist() == [False, True]
+        unstable, _ = stability_threshold_scan([a_plus], xi_max=5000)
+        assert not unstable[0]
 
     def test_rejects_bad_xi_max(self):
         with pytest.raises(ValueError):
@@ -230,11 +229,13 @@ class TestThresholdScan:
     @pytest.mark.parametrize("carrier", [0, 3])
     @pytest.mark.parametrize("xi_max", [1, 2, 3, 128, 1024])
     def test_matches_per_mode_loop(self, xi_max, carrier):
-        # the scan takes no carrier: it must match the loop at every k
+        # the scan takes no carrier: it must match the loop at every k, and
+        # its most unstable mode is xi_max
         grid = scan_amplitudes(xi_max)
+        unstable, growth_rate = stability_threshold_scan(grid, xi_max)
         got = [
-            (v.amplitude, v.unstable, v.worst_xi, v.growth_rate)
-            for v in stability_threshold_scan(grid, xi_max)
+            (float(a), u, xi_max if u else None, rate)
+            for a, u, rate in zip(grid, unstable.tolist(), growth_rate.tolist())
         ]
         want = reference_scan(grid, xi_max, carrier)
         assert list(map(repr, got)) == list(map(repr, want))
