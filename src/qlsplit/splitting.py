@@ -403,13 +403,17 @@ def planewave_deviation(
     perturbation energy: an unperturbed start, or one whose energy
     underflows to 0 or overflows.
     Raises ValueError when k or a sideband of the perturbation is not
-    representable on the grid.
+    representable on the grid, and when m = k: at xi = m - k = 0 the seed
+    is no sideband but a change of the carrier's own amplitude.
     """
     exact0 = exact_plane_wave(a, k, 0.0, grid)
     x = grid.nodes
     modulus = a
     if perturbation is not None:
         m = perturbation.mode
+        if m == k:
+            raise ValueError(f"perturbation mode {m} is the carrier wavenumber; "
+                             "it seeds no sideband")
         _check_mode(m, grid, "perturbation mode")
         _check_mode(2 * k - m, grid, "perturbation partner mode 2k - m")
         modulus = a + perturbation.amplitude * np.cos((m - k) * x)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PlaneWaveLinearization",
-    "ModeGrowth",
     "SplitStepMultipliers",
     "gn_matrix",
     "gn_eigenvalues",
@@ -26,28 +24,6 @@ __all__ = [
     "stability_threshold_scan",
     "split_step_mode_growth",
 ]
-
-
-@dataclass(frozen=True)
-class PlaneWaveLinearization:
-    """Carrier amplitude a >= 0, carrier wavenumber k, perturbation wavenumber xi."""
-
-    a: float
-    k: int
-    xi: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.a < np.inf:
-            raise ValueError(f"carrier amplitude must be finite and >= 0, got {self.a}")
-
-
-@dataclass(frozen=True)
-class ModeGrowth:
-    """Eigenvalue pair of the perturbation system and the growth verdict."""
-
-    lambda_plus: complex
-    lambda_minus: complex
-    unstable: bool
 
 
 @dataclass(frozen=True)
@@ -62,16 +38,16 @@ class SplitStepMultipliers:
     growing: bool | np.ndarray
 
 
-def gn_matrix(lin: PlaneWaveLinearization, dtype=np.complex128) -> np.ndarray:
-    """2x2 coefficient matrix of the coupled perturbation pair.
+def gn_matrix(a: float, k: int, xi: int, dtype=np.complex128) -> np.ndarray:
+    """2x2 coefficient matrix of the pair at carrier a e^{ikx}, perturbation mode xi.
 
     Accepts a complex dtype so callers can build the matrix in extended
     precision for high-accuracy eigenvalue cross-checks.
     """
     real_type = np.zeros(1, dtype=dtype).real.dtype.type
-    a2 = real_type(lin.a) ** 2
-    xi = real_type(lin.xi)
-    k = real_type(lin.k)
+    a2 = real_type(a) ** 2
+    xi = real_type(xi)
+    k = real_type(k)
     xi2 = xi * xi
     m = np.array(
         [
@@ -84,26 +60,39 @@ def gn_matrix(lin: PlaneWaveLinearization, dtype=np.complex128) -> np.ndarray:
 
 
 def _discriminant(a, xi: int):
-    """2 a^2 xi^2 - 2 a^2 - xi^2, the closed form's radicand, elementwise in a."""
-    a2 = np.asarray(a, dtype=np.longdouble) ** 2
-    xi2 = np.longdouble(xi) ** 2
+    """2 a^2 xi^2 - 2 a^2 - xi^2, the closed form's radicand, elementwise in a.
+
+    Raises ValueError for an amplitude that is negative, NaN or infinite,
+    and for a xi whose square is beyond long double range.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    bad = ~((0 <= a) & (a < np.inf))
+    if bad.any():
+        raise ValueError(f"carrier amplitude must be finite and >= 0, got {a[bad][0]}")
+    with np.errstate(over="ignore"):
+        xi2 = np.longdouble(xi) ** 2
+    if not np.isfinite(xi2):
+        raise ValueError(f"xi^2 overflows a long double: xi has {len(str(abs(xi)))} digits")
+    a2 = a.astype(np.longdouble) ** 2
     return 2 * a2 * xi2 - 2 * a2 - xi2
 
 
-def gn_eigenvalues(lin: PlaneWaveLinearization) -> ModeGrowth:
+def gn_eigenvalues(a, k: int, xi: int):
     """Closed-form eigenvalues -2ik*xi +/- |xi| sqrt(2a^2 xi^2 - 2a^2 - xi^2).
 
-    The radicand is evaluated in extended precision before the principal
-    square root is taken; the verdict is unstable exactly when the radicand
-    is positive (equivalently, some eigenvalue has positive real part).
+    Elementwise over the amplitude ``a``: returns (lambda_plus,
+    lambda_minus) as complex128 arrays of its shape, or numpy scalars for a
+    scalar.  The radicand is evaluated in extended precision before the
+    principal square root is taken, and only the result is rounded.
+    lambda_plus has the larger real part, and it is positive (the mode is
+    unstable) exactly when the radicand is.
     """
-    r = _discriminant(lin.a, lin.xi)
-    root = np.sqrt(np.clongdouble(r))
-    xi_abs = np.longdouble(abs(lin.xi))
-    doppler = np.clongdouble(-2j) * np.longdouble(lin.k) * np.longdouble(lin.xi)
-    lam_p = complex(doppler + xi_abs * root)
-    lam_m = complex(doppler - xi_abs * root)
-    return ModeGrowth(lambda_plus=lam_p, lambda_minus=lam_m, unstable=bool(r > 0))
+    root = np.sqrt(_discriminant(a, xi).astype(np.clongdouble))
+    xi_abs = np.longdouble(abs(xi))
+    doppler = np.clongdouble(-2j) * np.longdouble(k) * np.longdouble(xi)
+    # [()] turns 0-d results into numpy scalars and leaves arrays as they are
+    return ((doppler + xi_abs * root).astype(np.complex128)[()],
+            (doppler - xi_abs * root).astype(np.complex128)[()])
 
 
 def two_by_two_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -125,23 +114,16 @@ def stability_threshold_scan(a_grid, xi_max: int) -> tuple[np.ndarray, np.ndarra
 
     The radicand (2a^2 - 1) xi^2 - 2a^2 is negative for every xi when
     2a^2 <= 1; above that it and the growth rate |xi| sqrt(radicand) increase
-    strictly with xi.  So one closed-form evaluation at xi_max per amplitude
-    is exact, and xi_max is the most unstable mode whenever one is unstable.
-    Returns the arrays (unstable, growth_rate): growth_rate is max Re(lambda)
-    at xi_max, rounded to float64 from extended precision (inf if it
-    overflows), where unstable, else 0.0.  The scan takes no carrier
+    strictly with xi.  So Re lambda_plus at xi_max decides every mode, and
+    xi_max is the most unstable mode whenever one is unstable.  Returns the
+    arrays (unstable, growth_rate): growth_rate is that Re lambda_plus (inf
+    if it overflows a float64), 0.0 where stable.  The scan takes no carrier
     wavenumber: k only Doppler-shifts Im(lambda), so no verdict depends on it.
     """
     if xi_max < 1:
         raise ValueError(f"xi_max must be >= 1, got {xi_max}")
-    a = np.asarray(a_grid, dtype=np.float64)
-    bad = ~((0 <= a) & (a < np.inf))
-    if bad.any():
-        raise ValueError(f"carrier amplitude must be finite and >= 0, got {a[bad][0]}")
-    r = _discriminant(a, xi_max)
-    unstable = r > 0
-    growth_rate = np.longdouble(xi_max) * np.sqrt(np.where(unstable, r, 0))
-    return unstable, growth_rate.astype(np.float64)
+    rate = gn_eigenvalues(a_grid, 0, xi_max)[0].real
+    return rate > 0, rate
 
 
 def split_step_mode_growth(w_amplitude, tau: float, k) -> SplitStepMultipliers:

@@ -28,7 +28,7 @@ from qlsplit.cli import (
 from qlsplit.model import Gaussian, ModelSpec
 from qlsplit.spectral import GridSpec
 from qlsplit.splitting import StepperConfig, run_simulation
-from qlsplit.stability import PlaneWaveLinearization, gn_eigenvalues
+from qlsplit.stability import gn_eigenvalues
 
 
 POPULATED = ExperimentConfig(
@@ -230,9 +230,17 @@ PLANE_WAVE_200 = [*PLANE_WAVE, "--n-steps", "200", "--t-final", "0.2"]
                  id="growth-wavenumber-beyond-float"),
     pytest.param(["stability", "--amplitude-grid", "0.5,1e306", "--xi-max", "1024"],
                  None, id="scan-growth-rate-overflow"),
+    # xi_max is finite in long double and its square is not
+    *[pytest.param(["stability", "--amplitude-grid", "0.5,0.9", "--xi-max",
+                    "1" + "0" * zeros], None, id=f"scan-xi-max-square-overflow-{zeros}")
+      for zeros in (2470, 3000)],
     pytest.param(PLANE_WAVE_NO_MODE, None, id="planewave-no-perturbation-mode"),
     pytest.param([*PLANE_WAVE, "--wavenumber", "40"], None,
                  id="planewave-unrepresentable-wavenumber"),
+    # m = k seeds the carrier's own amplitude, no sideband
+    pytest.param([*PLANE_WAVE, "--perturbation-mode", "1",
+                  "--perturbation-amplitude", "1e-6"], None,
+                 id="planewave-perturbation-mode-is-carrier"),
     # the modulus seed also excites 2k - m = 32, which N = 64 cannot hold
     pytest.param([*PLANE_WAVE, "--perturbation-mode", "-30"], None,
                  id="planewave-unrepresentable-partner-mode"),
@@ -531,10 +539,11 @@ def reference_multipliers_csv(prefix, amplitude_grid, xi_max, tau, wavenumbers):
         writer = csv.writer(fh)
         writer.writerow(["amplitude", "unstable", "worst_xi", "growth_rate"])
         for a in amplitude_grid:
-            g = gn_eigenvalues(PlaneWaveLinearization(a=float(a), k=0, xi=xi_max))
-            rate = max(g.lambda_plus.real, g.lambda_minus.real) if g.unstable else 0.0
+            lam_plus, lam_minus = gn_eigenvalues(float(a), 0, xi_max)
+            unstable = lam_plus.real > 0
+            rate = float(max(lam_plus.real, lam_minus.real)) if unstable else 0.0
             writer.writerow(
-                [repr(float(a)), int(g.unstable), xi_max if g.unstable else "", repr(rate)]
+                [repr(float(a)), int(unstable), xi_max if unstable else "", repr(rate)]
             )
     with open(prefix + "_multipliers.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -21,12 +21,10 @@ PUBLIC_NAMES = [
     "Gaussian",
     "GridSpec",
     "InitialCondition",
-    "ModeGrowth",
     "ModelSpec",
     "MultiMode",
     "Perturbation",
     "PlaneWave",
-    "PlaneWaveLinearization",
     "SimulationRecord",
     "SplitStepMultipliers",
     "StepperConfig",

@@ -512,6 +512,14 @@ class TestPlanewaveDeviation:
         # the seed energy overflows too, so there is no growth to read
         assert seeded == (math.inf, None)
 
+    @pytest.mark.parametrize("k", [0, 1, -3])
+    def test_rejects_perturbation_mode_at_the_carrier(self, k):
+        # xi = 0 is no sideband: the seed (a + eps) e^{ikx} is a wave train
+        # of its own, and the growth read its phase drift against a
+        with pytest.raises(ValueError, match="seeds no sideband"):
+            planewave_deviation(0.5, k, 2.5e-5, 4000, GridSpec(64), MODEL,
+                                Perturbation(mode=k, amplitude=1e-6))
+
 
 class TestBlowupGuards:
     def test_rows_above_threshold_only_on_a_trip(self):

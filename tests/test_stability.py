@@ -1,10 +1,11 @@
 """Plane-wave linearization matrix, closed-form eigenvalues, mode growth."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from qlsplit import (
-    PlaneWaveLinearization,
     gn_eigenvalues,
     gn_matrix,
     split_step_mode_growth,
@@ -23,10 +24,9 @@ def reference_scan(a_grid, xi_max, carrier_wavenumber):
         worst_xi = None
         worst_rate = 0.0
         for xi in range(1, xi_max + 1):
-            lin = PlaneWaveLinearization(a=float(a), k=carrier_wavenumber, xi=xi)
-            growth = gn_eigenvalues(lin)
-            if growth.unstable:
-                rate = max(growth.lambda_plus.real, growth.lambda_minus.real)
+            lam_plus, lam_minus = gn_eigenvalues(float(a), carrier_wavenumber, xi)
+            if lam_plus.real > 0:
+                rate = float(max(lam_plus.real, lam_minus.real))
                 if rate > worst_rate:
                     worst_rate = rate
                     worst_xi = xi
@@ -72,74 +72,68 @@ def pair_distance(pair_a, pair_b) -> float:
 
 class TestGnMatrix:
     def test_zero_amplitude_is_free_dispersion(self):
-        lin = PlaneWaveLinearization(a=0.0, k=3, xi=2)
-        m = gn_matrix(lin)
+        m = gn_matrix(0.0, 3, 2)
         expected = 1j * np.array([[-12 - 4, 0], [0, -12 + 4]], dtype=complex)
         assert np.allclose(m, expected, atol=1e-14)
 
     def test_reference_entries(self):
         # a=1, k=0, xi=1: the xi^2 terms cancel the constant ones entrywise
-        m = gn_matrix(PlaneWaveLinearization(a=1.0, k=0, xi=1))
+        m = gn_matrix(1.0, 0, 1)
         expected = 1j * np.array([[-1.0, 0.0], [0.0, 1.0]])
         assert np.allclose(m, expected, atol=1e-14)
 
     def test_trace_is_doppler_only(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
-            lin = PlaneWaveLinearization(
-                a=float(rng.uniform(0, 1.5)),
-                k=int(rng.integers(-8, 9)),
-                xi=int(rng.integers(1, 65)),
-            )
-            m = gn_matrix(lin)
-            assert np.trace(m) == pytest.approx(-4j * lin.k * lin.xi, abs=1e-11)
+            a = float(rng.uniform(0, 1.5))
+            k = int(rng.integers(-8, 9))
+            xi = int(rng.integers(1, 65))
+            m = gn_matrix(a, k, xi)
+            assert np.trace(m) == pytest.approx(-4j * k * xi, abs=1e-11)
 
     def test_rejects_negative_amplitude(self):
         with pytest.raises(ValueError):
-            PlaneWaveLinearization(a=-0.1, k=0, xi=1)
+            gn_eigenvalues(-0.1, 0, 1)
         with pytest.raises(ValueError):
             stability_threshold_scan([0.9, -0.1], xi_max=8)
 
     @pytest.mark.parametrize("a", [np.nan, np.inf])
     def test_rejects_non_finite_amplitude(self, a):
         with pytest.raises(ValueError):
-            PlaneWaveLinearization(a=a, k=0, xi=1)
+            gn_eigenvalues(a, 0, 1)
         with pytest.raises(ValueError):
             stability_threshold_scan([0.9, a], xi_max=8)
 
 
 class TestGnEigenvalues:
     def test_unstable_reference_case(self):
-        g = gn_eigenvalues(PlaneWaveLinearization(a=1.0, k=0, xi=2))
-        assert g.unstable
-        assert g.lambda_plus == pytest.approx(2 * np.sqrt(2), abs=1e-12)
-        assert g.lambda_minus == pytest.approx(-2 * np.sqrt(2), abs=1e-12)
+        lam_plus, lam_minus = gn_eigenvalues(1.0, 0, 2)
+        assert lam_plus.real > 0
+        assert lam_plus == pytest.approx(2 * np.sqrt(2), abs=1e-12)
+        assert lam_minus == pytest.approx(-2 * np.sqrt(2), abs=1e-12)
 
     def test_stable_reference_case(self):
-        g = gn_eigenvalues(PlaneWaveLinearization(a=1.0, k=0, xi=1))
-        assert not g.unstable
-        assert g.lambda_plus == pytest.approx(1j, abs=1e-12)
-        assert g.lambda_minus == pytest.approx(-1j, abs=1e-12)
+        lam_plus, lam_minus = gn_eigenvalues(1.0, 0, 1)
+        assert not lam_plus.real > 0
+        assert lam_plus == pytest.approx(1j, abs=1e-12)
+        assert lam_minus == pytest.approx(-1j, abs=1e-12)
 
     def test_threshold_amplitude_stable_for_all_xi(self):
         for xi in range(1, 129):
-            g = gn_eigenvalues(PlaneWaveLinearization(a=THRESHOLD, k=0, xi=xi))
-            assert not g.unstable
-            assert max(g.lambda_plus.real, g.lambda_minus.real) <= 1e-12
+            lam_plus, lam_minus = gn_eigenvalues(THRESHOLD, 0, xi)
+            assert not lam_plus.real > 0
+            assert max(lam_plus.real, lam_minus.real) <= 1e-12
 
     def test_matches_matrix_eigensolve_extended_precision(self):
         rng = np.random.default_rng(11)
         worst = 0.0
         for _ in range(200):
-            lin = PlaneWaveLinearization(
-                a=float(rng.uniform(0, 1.5)),
-                k=int(rng.integers(-8, 9)),
-                xi=int(rng.integers(1, 65)),
-            )
-            closed = gn_eigenvalues(lin)
+            a = float(rng.uniform(0, 1.5))
+            k = int(rng.integers(-8, 9))
+            xi = int(rng.integers(1, 65))
+            mine = gn_eigenvalues(a, k, xi)
             oracle = tuple(map(complex, two_by_two_eigenvalues(
-                gn_matrix(lin, dtype=np.clongdouble))))
-            mine = (closed.lambda_plus, closed.lambda_minus)
+                gn_matrix(a, k, xi, dtype=np.clongdouble))))
             worst = max(worst, pair_distance(mine, oracle))
         assert worst < 1e-12
 
@@ -147,14 +141,11 @@ class TestGnEigenvalues:
         # LAPACK backward error scales with the matrix norm (~1e4 here)
         rng = np.random.default_rng(12)
         for _ in range(100):
-            lin = PlaneWaveLinearization(
-                a=float(rng.uniform(0, 1.5)),
-                k=int(rng.integers(-8, 9)),
-                xi=int(rng.integers(1, 65)),
-            )
-            closed = gn_eigenvalues(lin)
-            oracle = tuple(map(complex, np.linalg.eigvals(gn_matrix(lin))))
-            mine = (closed.lambda_plus, closed.lambda_minus)
+            a = float(rng.uniform(0, 1.5))
+            k = int(rng.integers(-8, 9))
+            xi = int(rng.integers(1, 65))
+            mine = gn_eigenvalues(a, k, xi)
+            oracle = tuple(map(complex, np.linalg.eigvals(gn_matrix(a, k, xi))))
             assert pair_distance(mine, oracle) < 5e-11
 
     def test_verdict_equals_discriminant_sign(self):
@@ -162,18 +153,48 @@ class TestGnEigenvalues:
         for _ in range(300):
             a = float(rng.uniform(0, 1.5))
             xi = int(rng.integers(1, 65))
-            g = gn_eigenvalues(PlaneWaveLinearization(a=a, k=0, xi=xi))
-            assert g.unstable == (2 * a**2 * xi**2 - 2 * a**2 - xi**2 > 0)
+            lam_plus, _ = gn_eigenvalues(a, 0, xi)
+            assert (lam_plus.real > 0) == (2 * a**2 * xi**2 - 2 * a**2 - xi**2 > 0)
 
     def test_carrier_only_shifts_imaginary_part(self):
         for k in [-5, 0, 3, 8]:
-            g = gn_eigenvalues(PlaneWaveLinearization(a=0.9, k=k, xi=4))
-            g0 = gn_eigenvalues(PlaneWaveLinearization(a=0.9, k=0, xi=4))
-            assert g.unstable == g0.unstable
-            assert g.lambda_plus.real == pytest.approx(g0.lambda_plus.real, abs=1e-12)
-            assert g.lambda_plus.imag == pytest.approx(
-                g0.lambda_plus.imag - 2 * k * 4, abs=1e-12
+            lam_plus, _ = gn_eigenvalues(0.9, k, 4)
+            lam_plus0, _ = gn_eigenvalues(0.9, 0, 4)
+            assert (lam_plus.real > 0) == (lam_plus0.real > 0)
+            assert lam_plus.real == pytest.approx(lam_plus0.real, abs=1e-12)
+            assert lam_plus.imag == pytest.approx(
+                lam_plus0.imag - 2 * k * 4, abs=1e-12
             )
+
+    @pytest.mark.parametrize("k", [-5, 0, 3])
+    @pytest.mark.parametrize("xi", [1, 2, 126, 8192])
+    def test_array_call_matches_scalar_calls(self, k, xi):
+        # bit for bit, signed zeros included; 1e306 overflows float64 at
+        # xi >= 126, so the rounding to inf is covered too
+        amplitudes = [0.0, -0.0, *ulp_neighbours(THRESHOLD, 3), 1e150, 1e300, 1e306]
+        with np.errstate(over="ignore"):
+            lam_plus, lam_minus = gn_eigenvalues(np.array(amplitudes), k, xi)
+            scalar = [gn_eigenvalues(a, k, xi) for a in amplitudes]
+
+        def parts(*lams):
+            return [repr(float(part)) for lam in lams for part in (lam.real, lam.imag)]
+
+        assert lam_plus.shape == lam_minus.shape == (len(amplitudes),)
+        assert (lam_plus.real >= lam_minus.real).all()
+        for i, (plus, minus) in enumerate(scalar):
+            assert type(plus) is type(minus) is np.complex128
+            assert parts(lam_plus[i], lam_minus[i]) == parts(plus, minus), amplitudes[i]
+
+    @pytest.mark.parametrize("digits", [2470, 3000])
+    def test_rejects_xi_whose_square_overflows(self, digits):
+        # xi is finite in long double and xi^2 is not; no numpy warning
+        xi = 10**digits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"xi has {digits + 1} digits"):
+                gn_eigenvalues(0.5, 0, xi)
+            with pytest.raises(ValueError, match=f"xi has {digits + 1} digits"):
+                stability_threshold_scan([0.5, 0.9], xi)
 
 
 class TestTwoByTwoEigensolve:
@@ -221,6 +242,14 @@ class TestThresholdScan:
         assert unstable.tolist() == [False, True]
         unstable, _ = stability_threshold_scan([a_plus], xi_max=5000)
         assert not unstable[0]
+
+    @pytest.mark.parametrize("xi_max", [1, 2, 128, 8192])
+    def test_is_re_lambda_plus_at_xi_max(self, xi_max):
+        grid = scan_amplitudes(xi_max)
+        unstable, growth_rate = stability_threshold_scan(grid, xi_max)
+        rate = gn_eigenvalues(np.array(grid), 0, xi_max)[0].real
+        assert growth_rate.tobytes() == rate.tobytes()
+        assert unstable.tolist() == (rate > 0).tolist()
 
     def test_rejects_bad_xi_max(self):
         with pytest.raises(ValueError):
