@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import ConvergenceRow, ConvergenceTable, fit_order
+from .diagnostics import fit_order
 from .model import (
     Gaussian,
     InitialCondition,
@@ -60,11 +60,7 @@ from .splitting import (
     planewave_deviation,
     run_simulation,
 )
-from .stability import (
-    SplitStepMultipliers,
-    split_step_mode_growth,
-    stability_threshold_scan,
-)
+from .stability import split_step_mode_growth, stability_threshold_scan
 
 __all__ = [
     "ConfigError",
@@ -325,7 +321,6 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
         return EXIT_REFERENCE
 
     rows = []
-    ok_rows = []
     for n in ladder:
         rec = results[n]
         if rec.blew_up:
@@ -335,24 +330,24 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
             reference.final_field.grid,
             rec.final_field.values - reference.final_field.values,
         )
-        err_l2 = l2_norm(diff)
-        err_h1 = h1_seminorm(diff)
-        rows.append((n, err_l2, err_h1, "ok"))
-        ok_rows.append(ConvergenceRow(n, err_l2, err_h1))
+        rows.append((n, l2_norm(diff), h1_seminorm(diff), "ok"))
 
     _write_csv(cfg.output + "_table.csv",
                ["n_steps", "err_l2", "err_h1", "status"], rows)
 
+    ok = np.array([row[:3] for row in rows if row[3] == "ok"], dtype=float).reshape(-1, 3)
+    n_ok, err_l2, err_h1 = ok.T
     orders = None
     notice = None
     roundoff_floor = 1e-13
-    if ok_rows and all(r.err_l2 < roundoff_floor for r in ok_rows):
+    # a difference constant in x has an H1 seminorm of exactly 0 while its L2
+    # norm is roundoff above the floor; a zero error has no logarithm to fit
+    if len(ok) and ((err_l2 < roundoff_floor).all() or 0.0 in ok[:, 1:]):
         notice = "errors at roundoff level; order fit skipped"
-    elif len(ok_rows) >= 3:
-        table = ConvergenceTable(cfg.t_final, tuple(ok_rows))
-        orders = fit_order(table)
+    elif len(ok) >= 3:
+        orders = fit_order(cfg.t_final / n_ok, err_l2, err_h1)
     else:
-        notice = f"only {len(ok_rows)} stable rows; order fit needs 3"
+        notice = f"only {len(ok)} stable rows; order fit needs 3"
 
     summary = {
         "t_final": cfg.t_final,
@@ -378,8 +373,8 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _growth_multipliers(cfg: ExperimentConfig) -> SplitStepMultipliers:
-    """Multipliers on the (amplitude, growth wavenumber) grid, in one call."""
+def _growth_multipliers(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(plus, minus) on the (amplitude, growth wavenumber) grid, in one call."""
     try:
         w = np.asarray(cfg.amplitude_grid, dtype=np.float64)
         k = np.asarray(cfg.growth_wavenumbers, dtype=np.float64)
@@ -387,8 +382,7 @@ def _growth_multipliers(cfg: ExperimentConfig) -> SplitStepMultipliers:
         raise ConfigError(f"growth_wavenumbers entry too large: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):
         growth = split_step_mode_growth(w[:, None], cfg.growth_tau, k[None, :])
-    if not (np.isfinite(growth.multiplier_plus).all()
-            and np.isfinite(growth.multiplier_minus).all()):
+    if not np.isfinite(growth).all():
         raise ConfigError(
             "growth multipliers overflow: 2 w^2 or growth_tau k^2 is not finite "
             "for some amplitude_grid and growth_wavenumbers entries"
@@ -397,7 +391,7 @@ def _growth_multipliers(cfg: ExperimentConfig) -> SplitStepMultipliers:
 
 
 def _write_multipliers_csv(path: str, cfg: ExperimentConfig,
-                           growth: SplitStepMultipliers) -> None:
+                           growth: tuple[np.ndarray, np.ndarray]) -> None:
     """The rows csv.writer would write, one buffered write per amplitude.
 
     Every field is a plain number (floats as repr), so no field needs
@@ -405,16 +399,15 @@ def _write_multipliers_csv(path: str, cfg: ExperimentConfig,
     """
     tau = repr(cfg.growth_tau)
     ks = [str(int(k)) for k in cfg.growth_wavenumbers]
-    plus, minus = growth.multiplier_plus, growth.multiplier_minus
-    rows = zip(cfg.amplitude_grid, plus.real, plus.imag, minus.real, minus.imag,
-               growth.growing[:, 0])
+    plus, minus = growth
+    rows = zip(cfg.amplitude_grid, plus.real, plus.imag, minus.real, minus.imag)
     with open(path, "w", newline="") as fh:
         fh.write("w,tau,k,mult_plus_re,mult_plus_im,"
                  "mult_minus_re,mult_minus_im,growing\r\n")
-        # growing depends on w alone, so one flag serves a whole row of k
-        for w, *parts, growing in rows:
+        for w, *parts in rows:
             head = f"{float(w)!r},{tau},"
-            tail = f",{int(growing)}\r\n"
+            # growing is split_step_mode_growth's radicand > 0: one flag per w
+            tail = f",{int(2.0 * w * w - 1.0 > 0)}\r\n"
             fh.write("".join([
                 f"{head}{k},{pr!r},{pi!r},{mr!r},{mi!r}{tail}"
                 for k, pr, pi, mr, mi in zip(ks, *(part.tolist() for part in parts))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.polynomial import polynomial as P
 
@@ -14,8 +12,6 @@ __all__ = [
     "mass",
     "energy",
     "error_norms",
-    "ConvergenceRow",
-    "ConvergenceTable",
     "fit_order",
 ]
 
@@ -59,43 +55,21 @@ def error_norms(f: Field, reference: Field) -> tuple[float, float]:
     return l2_norm(diff), h1_seminorm(diff)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n_steps: int
-    err_l2: float
-    err_h1: float
-
-
-@dataclass(frozen=True)
-class ConvergenceTable:
-    """Error ladder at fixed final time with slopes fitted in log tau."""
-
-    t_final: float
-    rows: tuple[ConvergenceRow, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-        steps = [r.n_steps for r in self.rows]
-        if steps != sorted(steps) or len(set(steps)) != len(steps):
-            raise ValueError("rows must have strictly increasing n_steps")
-        for r in self.rows:
-            if r.err_l2 <= 0 or r.err_h1 <= 0:
-                raise ValueError("errors must be positive for a log-log fit")
-
-    @property
-    def taus(self) -> np.ndarray:
-        return self.t_final / np.array([r.n_steps for r in self.rows], dtype=float)
-
-
-def fit_order(table: ConvergenceTable) -> tuple[float, float]:
+def fit_order(taus, err_l2, err_h1) -> tuple[float, float]:
     """Least-squares slopes of log(err) against log(tau), both norms.
 
-    Requires at least 3 rows.  For Strang splitting on smooth data both
-    slopes come out near 2.
+    Requires at least 3 points, strictly decreasing step sizes ``taus``
+    and every error > 0 (a NaN fails too).  For Strang splitting on smooth
+    data both slopes come out near 2.
     """
-    if len(table.rows) < 3:
-        raise ValueError(f"need at least 3 rows to fit, got {len(table.rows)}")
-    log_tau = np.log(table.taus)
-    order_l2 = float(np.polyfit(log_tau, np.log([r.err_l2 for r in table.rows]), 1)[0])
-    order_h1 = float(np.polyfit(log_tau, np.log([r.err_h1 for r in table.rows]), 1)[0])
+    taus, err_l2, err_h1 = (np.asarray(x, dtype=np.float64) for x in (taus, err_l2, err_h1))
+    if len(taus) < 3:
+        raise ValueError(f"need at least 3 points to fit, got {len(taus)}")
+    if not (np.diff(taus) < 0).all():
+        raise ValueError("step sizes must strictly decrease")
+    if not ((err_l2 > 0).all() and (err_h1 > 0).all()):
+        raise ValueError("errors must be positive for a log-log fit")
+    log_tau = np.log(taus)
+    order_l2 = float(np.polyfit(log_tau, np.log(err_l2), 1)[0])
+    order_h1 = float(np.polyfit(log_tau, np.log(err_h1), 1)[0])
     return order_l2, order_h1

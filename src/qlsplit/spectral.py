@@ -1,10 +1,8 @@
 """Periodic grid, Fourier transform conventions, spectral filters and norms.
 
 Everything in this module works on the domain (-pi, pi] with N equispaced
-nodes.  Fourier coefficients follow the Fourier-series convention: the
-forward transform carries the 1/N factor, so a plane wave exp(i*k*x) has
-coefficient exactly 1 at wavenumber k.  Coefficient arrays are stored in
-FFT order, aligned with ``GridSpec.wavenumbers``.
+nodes.  Spectra are numpy's raw FFT of the node values, in FFT order,
+aligned with ``GridSpec.wavenumbers``; the Parseval sums carry the 1/N^2.
 """
 
 from __future__ import annotations
@@ -57,14 +55,8 @@ class GridSpec:
         return k
 
     @cached_property
-    def _k_float(self) -> np.ndarray:
-        k = self.wavenumbers.astype(np.float64)
-        k.setflags(write=False)
-        return k
-
-    @cached_property
     def _k_squared(self) -> np.ndarray:
-        k2 = self._k_float**2
+        k2 = self.wavenumbers.astype(np.float64) ** 2
         k2.setflags(write=False)
         return k2
 
@@ -76,13 +68,6 @@ class GridSpec:
         k2.setflags(write=False)
         return k2
 
-    @cached_property
-    def _coeff_phase(self) -> np.ndarray:
-        """(-1)**k factors translating raw FFT output (origin at x=0) to x=-pi."""
-        phase = np.where(self.wavenumbers % 2 == 0, 1.0, -1.0)
-        phase.setflags(write=False)
-        return phase
-
     @property
     def spacing(self) -> float:
         return 2.0 * np.pi / self.n_points
@@ -93,7 +78,7 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Complex-valued state on a grid; immutable, with a spectral view."""
+    """Complex-valued state on a grid; immutable."""
 
     grid: GridSpec
     values: np.ndarray
@@ -109,17 +94,6 @@ class Field:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
-    def spectrum(self) -> np.ndarray:
-        """Forward DFT: u_hat_k = (1/N) sum_j u_j exp(-i k x_j).
-
-        Computed on each call; the array is in FFT order (read-only),
-        aligned with ``grid.wavenumbers``.
-        """
-        coeffs = self.grid._coeff_phase * np.fft.fft(self.values) / self.grid.n_points
-        coeffs.setflags(write=False)
-        return coeffs
-
 
 def _filter_weights(
     grid: GridSpec, mollify_eps: float | None, dealias: bool
@@ -128,7 +102,7 @@ def _filter_weights(
 
     The 2/3 rule keeps |k| <= floor(N/3).  None when no mode is removed.
     """
-    kabs = np.abs(grid._k_float)
+    kabs = np.abs(grid.wavenumbers)
     keep = np.ones(grid.n_points, dtype=bool)
     if mollify_eps is not None:
         if mollify_eps <= 0:

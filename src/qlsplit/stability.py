@@ -12,30 +12,15 @@ absolute tolerances even when the eigenvalues are O(10^4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "SplitStepMultipliers",
     "gn_matrix",
     "gn_eigenvalues",
     "two_by_two_eigenvalues",
     "stability_threshold_scan",
     "split_step_mode_growth",
 ]
-
-
-@dataclass(frozen=True)
-class SplitStepMultipliers:
-    """Per-step multipliers of a frozen-coefficient split-step mode.
-
-    Scalars for scalar inputs; otherwise arrays of the broadcast shape.
-    """
-
-    multiplier_plus: complex | np.ndarray
-    multiplier_minus: complex | np.ndarray
-    growing: bool | np.ndarray
 
 
 def gn_matrix(a: float, k: int, xi: int, dtype=np.complex128) -> np.ndarray:
@@ -126,15 +111,17 @@ def stability_threshold_scan(a_grid, xi_max: int) -> tuple[np.ndarray, np.ndarra
     return rate > 0, rate
 
 
-def split_step_mode_growth(w_amplitude, tau: float, k) -> SplitStepMultipliers:
+def split_step_mode_growth(w_amplitude, tau: float, k):
     """Per-step multipliers 1 +/- tau k^2 sqrt(2|w|^2 - 1) of a frozen mode.
 
-    Real pair (exponential growth flagged) when 2|w|^2 > 1; complex
-    conjugate pair on the stable side.  ``w_amplitude`` and ``k`` broadcast
-    against each other as numpy arrays do.  Each element is computed with
-    the operations of the scalar formula in their order (the product with
-    the root is a complex multiply), so it equals the call for that (w, k)
-    alone bit for bit, signed zeros and the inf/nan of an overflow included.
+    Returns (plus, minus): a real pair, growing exponentially, when
+    2|w|^2 > 1; a complex conjugate pair on the stable side.  ``w_amplitude``
+    and ``k`` broadcast against each other as numpy arrays do, and the pair
+    is complex128 arrays of the broadcast shape, or numpy scalars for scalar
+    inputs.  Each element is computed with the operations of the scalar
+    formula in their order (the product with the root is a complex
+    multiply), so it equals the call for that (w, k) alone bit for bit,
+    signed zeros and the inf/nan of an overflow included.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -143,11 +130,5 @@ def split_step_mode_growth(w_amplitude, tau: float, k) -> SplitStepMultipliers:
     radicand = 2.0 * w * w - 1.0
     root = np.sqrt(radicand.astype(np.complex128))
     shift = (tau * (k * k)) * root
-    plus = 1.0 + shift
-    growing = np.broadcast_to(radicand > 0, plus.shape)
     # [()] turns 0-d results into numpy scalars and leaves arrays as they are
-    return SplitStepMultipliers(
-        multiplier_plus=plus[()],
-        multiplier_minus=(1.0 - shift)[()],
-        growing=growing[()],
-    )
+    return (1.0 + shift)[()], (1.0 - shift)[()]

@@ -18,6 +18,17 @@ def random_field(grid: GridSpec, rng: np.random.Generator, scale: float = 1.0) -
     return Field(grid, values)
 
 
+def spectrum(f: Field) -> np.ndarray:
+    """Fourier-series coefficients u_hat_k = (1/N) sum_j u_j exp(-i k x_j).
+
+    The oracle for filters and for Parseval sums of the raw FFT.  FFT order,
+    aligned with ``grid.wavenumbers``; the (-1)**k factor moves the raw
+    FFT's origin from x = 0 to the first node x = -pi.
+    """
+    phase = np.where(f.grid.wavenumbers % 2 == 0, 1.0, -1.0)
+    return phase * np.fft.fft(f.values) / f.grid.n_points
+
+
 def spectral_derivative(f: Field, order: int) -> Field:
     """Differentiate by scaling mode k with (i*k)**order, on one FFT round trip.
 

@@ -48,8 +48,6 @@ import time
 import numpy as np
 
 from qlsplit import (
-    ConvergenceRow,
-    ConvergenceTable,
     Field,
     Gaussian,
     GridSpec,
@@ -87,15 +85,16 @@ def run_to_final(ic, grid, n_steps, t_final, **cfg_kwargs):
 
 
 def ladder_errors(ic, grid, ladder, reference_n, t_final, **cfg_kwargs):
+    """Step sizes and the (L2, H1) errors against the reference, as arrays."""
     reference = run_to_final(ic, grid, reference_n, t_final, **cfg_kwargs)
     assert not reference.blew_up, "reference run tripped the guard"
-    rows = []
+    errors = []
     for n in ladder:
         rec = run_to_final(ic, grid, n, t_final, **cfg_kwargs)
         assert not rec.blew_up, f"ladder run n_steps={n} tripped the guard"
-        err_l2, err_h1 = error_norms(rec.final_field, reference.final_field)
-        rows.append(ConvergenceRow(n, err_l2, err_h1))
-    return ConvergenceTable(t_final, tuple(rows))
+        errors.append(error_norms(rec.final_field, reference.final_field))
+    err_l2, err_h1 = np.array(errors).T
+    return t_final / np.array(ladder, dtype=float), err_l2, err_h1
 
 
 # Frozen benchmark error magnitudes for the smooth convergence regime
@@ -113,27 +112,28 @@ def test_criterion_1_second_order_convergence_smooth():
     start = time.time()
     grid = GridSpec(256)
     t_final = np.pi / 4
-    table = ladder_errors(Gaussian(0.2, 0.2), grid, TABLE1_NT, 100_000, t_final)
-    order_l2, order_h1 = fit_order(table)
+    taus, err_l2, err_h1 = ladder_errors(Gaussian(0.2, 0.2), grid, TABLE1_NT, 100_000,
+                                         t_final)
+    order_l2, order_h1 = fit_order(taus, err_l2, err_h1)
     problems = []
     if not 1.8 <= order_l2 <= 2.2:
         problems.append(f"L2 slope {order_l2:.3f} outside [1.8, 2.2]")
     if not 1.8 <= order_h1 <= 2.2:
         problems.append(f"H1 slope {order_h1:.3f} outside [1.8, 2.2]")
-    for i in range(len(table.rows) - 1):
-        r2 = table.rows[i].err_l2 / table.rows[i + 1].err_l2
-        r1 = table.rows[i].err_h1 / table.rows[i + 1].err_h1
+    for i in range(len(TABLE1_NT) - 1):
+        r2 = err_l2[i] / err_l2[i + 1]
+        r1 = err_h1[i] / err_h1[i + 1]
         if not 3.4 <= r2 <= 4.6:
             problems.append(f"L2 ratio {r2:.2f} at halving {i} outside [3.4, 4.6]")
         if not 3.4 <= r1 <= 4.6:
             problems.append(f"H1 ratio {r1:.2f} at halving {i} outside [3.4, 4.6]")
-    for row, l2_ref, h1_ref in zip(table.rows, TABLE1_L2, TABLE1_H1):
-        if not l2_ref / 3 <= row.err_l2 <= l2_ref * 3:
-            problems.append(f"err_l2({row.n_steps}) = {row.err_l2:.3e} not within x3 of {l2_ref:.3e}")
-        if not h1_ref / 3 <= row.err_h1 <= h1_ref * 3:
-            problems.append(f"err_h1({row.n_steps}) = {row.err_h1:.3e} not within x3 of {h1_ref:.3e}")
-    if not 6e-7 <= table.rows[0].err_l2 <= 5e-6:
-        problems.append(f"err_l2(500) = {table.rows[0].err_l2:.3e} outside [6e-7, 5e-6]")
+    for n, e2, e1, l2_ref, h1_ref in zip(TABLE1_NT, err_l2, err_h1, TABLE1_L2, TABLE1_H1):
+        if not l2_ref / 3 <= e2 <= l2_ref * 3:
+            problems.append(f"err_l2({n}) = {e2:.3e} not within x3 of {l2_ref:.3e}")
+        if not h1_ref / 3 <= e1 <= h1_ref * 3:
+            problems.append(f"err_h1({n}) = {e1:.3e} not within x3 of {h1_ref:.3e}")
+    if not 6e-7 <= err_l2[0] <= 5e-6:
+        problems.append(f"err_l2(500) = {err_l2[0]:.3e} outside [6e-7, 5e-6]")
     elapsed = time.time() - start
     if elapsed > 120:
         problems.append(f"runtime {elapsed:.0f}s exceeds 2 minutes")
@@ -142,7 +142,7 @@ def test_criterion_1_second_order_convergence_smooth():
         not problems,
         "; ".join(problems)
         or f"slopes L2 {order_l2:.3f} H1 {order_h1:.3f}, "
-        f"err_l2(500) {table.rows[0].err_l2:.3e}, {elapsed:.0f}s",
+        f"err_l2(500) {err_l2[0]:.3e}, {elapsed:.0f}s",
     )
 
 
@@ -163,11 +163,10 @@ def test_criterion_2_stiff_regime_convergence_and_instability():
             flush=True,
         )
 
-    table = ladder_errors(
+    order_l2, order_h1 = fit_order(*ladder_errors(
         ic, grid, [20_000, 40_000, 80_000], 320_000, t_final,
         energy_guard_factor=10.0,
-    )
-    order_l2, order_h1 = fit_order(table)
+    ))
     if not 1.6 <= order_l2 <= 2.3:
         problems.append(f"L2 slope {order_l2:.3f} outside [1.6, 2.3]")
     if not 1.6 <= order_h1 <= 2.3:

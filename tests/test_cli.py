@@ -469,18 +469,23 @@ class TestConverge:
         assert "reference run" in capsys.readouterr().err
 
     def test_roundoff_ladder_skips_fit(self, tmp_path):
-        # plane-wave data is integrated exactly; errors sit at roundoff
-        out = str(tmp_path / "exact")
-        cfg = ExperimentConfig(
-            n_points=64, model="cubic", ic_kind="plane_wave",
-            amplitude=0.01, wavenumber=1, t_final=0.1,
-            nt_ladder=(10, 20, 40), reference_n_steps=160, output=out,
-        )
-        rc = main(["converge", "--config", write_config(tmp_path, cfg)])
-        assert rc == EXIT_OK
-        summary = json.loads((tmp_path / "exact_orders.json").read_text())
-        assert summary["order_l2"] is None
-        assert "roundoff" in summary["notice"]
+        # plane-wave data is integrated exactly; errors sit at roundoff.  A
+        # constant carrier's differences are constant in x: their H1 seminorm
+        # is exactly 0 while the L2 error of a = 5 is roundoff above 1e-13
+        configs = [
+            dict(model="cubic", amplitude=0.01, wavenumber=1, t_final=0.1,
+                 reference_n_steps=160),
+            dict(amplitude=5.0, wavenumber=0, t_final=1.0, reference_n_steps=80),
+        ]
+        for i, fields in enumerate(configs):
+            out = str(tmp_path / f"exact{i}")
+            cfg = ExperimentConfig(n_points=64, ic_kind="plane_wave",
+                                   nt_ladder=(10, 20, 40), output=out, **fields)
+            rc = main(["converge", "--config", write_config(tmp_path, cfg)])
+            assert rc == EXIT_OK, fields
+            summary = json.loads(Path(out + "_orders.json").read_text())
+            assert summary["order_l2"] is None
+            assert "roundoff" in summary["notice"]
 
     def test_ladder_requires_reference_above(self, tmp_path):
         cfg = ExperimentConfig(

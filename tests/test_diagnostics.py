@@ -5,8 +5,6 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from qlsplit import (
-    ConvergenceRow,
-    ConvergenceTable,
     Field,
     Gaussian,
     GridSpec,
@@ -20,7 +18,7 @@ from qlsplit import (
     mass,
 )
 
-from conftest import random_field, spectral_derivative
+from conftest import random_field, spectral_derivative, spectrum
 
 
 class TestMass:
@@ -92,7 +90,7 @@ class TestEnergy:
 
 def coefficient_mass(f):
     """The coefficient spelling of the mass: 2*pi*sum_k |u_hat_k|^2."""
-    c = f.spectrum
+    c = spectrum(f)
     return float(2.0 * np.pi * np.sum(c.real**2 + c.imag**2))
 
 
@@ -160,12 +158,8 @@ class TestErrorNorms:
 class TestFitOrder:
     def test_exact_quadratic_decay(self):
         t_final = 1.0
-        rows = tuple(
-            ConvergenceRow(n, 3.0 * (t_final / n) ** 2, 7.0 * (t_final / n) ** 2)
-            for n in [100, 200, 400, 800]
-        )
-        table = ConvergenceTable(t_final, rows)
-        o2, o1 = fit_order(table)
+        taus = t_final / np.array([100, 200, 400, 800], dtype=float)
+        o2, o1 = fit_order(taus, 3.0 * taus**2, 7.0 * taus**2)
         assert o2 == pytest.approx(2.0, abs=1e-12)
         assert o1 == pytest.approx(2.0, abs=1e-12)
 
@@ -173,34 +167,30 @@ class TestFitOrder:
         # second-order decay of the L2 errors in the smooth benchmark regime
         t_final = np.pi / 4
         errs = [1.6973e-06, 4.2241e-07, 1.0545e-07, 2.6323e-08, 6.5487e-09]
-        rows = tuple(
-            ConvergenceRow(n, e, e) for n, e in zip([500, 1000, 2000, 4000, 8000], errs)
-        )
-        o2, _ = fit_order(ConvergenceTable(t_final, rows))
+        taus = t_final / np.array([500, 1000, 2000, 4000, 8000], dtype=float)
+        o2, _ = fit_order(taus, errs, errs)
         assert o2 == pytest.approx(2.0, abs=0.1)
 
     def test_published_stiff_regime_h1_column(self):
         # stiff-regime ladder is pre-asymptotic in its first rows
         t_final = np.pi / 4
         errs = [1.2775e-01, 5.1125e-02, 1.5832e-02, 4.1212e-03, 9.6345e-04]
-        rows = tuple(
-            ConvergenceRow(n, e, e)
-            for n, e in zip([20000, 40000, 80000, 160000, 320000], errs)
-        )
-        _, o1 = fit_order(ConvergenceTable(t_final, rows))
+        taus = t_final / np.array([20000, 40000, 80000, 160000, 320000], dtype=float)
+        _, o1 = fit_order(taus, errs, errs)
         assert 1.7 <= o1 <= 2.1
 
     def test_requires_three_rows(self):
-        rows = (ConvergenceRow(10, 1e-3, 1e-2), ConvergenceRow(20, 2.5e-4, 2.5e-3))
-        with pytest.raises(ValueError, match="3 rows"):
-            fit_order(ConvergenceTable(1.0, rows))
+        with pytest.raises(ValueError, match="3 points"):
+            fit_order([0.1, 0.05], [1e-3, 2.5e-4], [1e-2, 2.5e-3])
 
     def test_rows_must_increase(self):
-        with pytest.raises(ValueError):
-            ConvergenceTable(
-                1.0, (ConvergenceRow(20, 1e-3, 1e-3), ConvergenceRow(10, 1e-4, 1e-4))
-            )
+        # n_steps increasing is tau decreasing; a repeated tau fails too
+        for taus in ([0.05, 0.1, 0.025], [0.1, 0.05, 0.05]):
+            with pytest.raises(ValueError, match="step sizes"):
+                fit_order(taus, [1e-3, 1e-4, 1e-5], [1e-3, 1e-4, 1e-5])
 
     def test_errors_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ConvergenceTable(1.0, (ConvergenceRow(10, 0.0, 1e-4),))
+        for err_l2, err_h1 in [([1e-3, 0.0, 1e-5], [1e-3, 1e-4, 1e-5]),
+                               ([1e-3, 1e-4, 1e-5], [1e-3, np.nan, 1e-5])]:
+            with pytest.raises(ValueError, match="positive"):
+                fit_order([0.1, 0.05, 0.025], err_l2, err_h1)

@@ -15,8 +15,6 @@ LIBRARY_MODULES = (diagnostics, model, spectral, splitting, stability)
 # the whole public API: an addition or a removal shows here as a diff
 PUBLIC_NAMES = [
     "BlowupReport",
-    "ConvergenceRow",
-    "ConvergenceTable",
     "Field",
     "Gaussian",
     "GridSpec",
@@ -26,7 +24,6 @@ PUBLIC_NAMES = [
     "Perturbation",
     "PlaneWave",
     "SimulationRecord",
-    "SplitStepMultipliers",
     "StepperConfig",
     "build_initial_condition",
     "energy",

@@ -19,7 +19,7 @@ from qlsplit import (
 )
 from qlsplit.splitting import _StepKernel
 
-from conftest import spectral_derivative
+from conftest import spectral_derivative, spectrum
 
 
 def potential(model, f):
@@ -147,7 +147,7 @@ class TestInitialConditions:
     def test_perturbation_seeds_one_mode(self, grid):
         pert = Perturbation(mode=5, amplitude=1e-6)
         f = build_initial_condition(PlaneWave(0.5, 1, perturbation=pert), grid)
-        c = f.spectrum
+        c = spectrum(f)
         idx = {k: i for i, k in enumerate(grid.wavenumbers)}
         assert c[idx[5]] == pytest.approx(1e-6, rel=1e-10)
         assert c[idx[1]] == pytest.approx(0.5, rel=1e-12)

@@ -272,26 +272,24 @@ class TestThresholdScan:
 
 class TestSplitStepModeGrowth:
     def test_reference_values(self):
-        g = split_step_mode_growth(1.0, 1e-4, 16)
-        assert g.multiplier_plus == pytest.approx(1 + 0.0256, rel=1e-12)
-        assert g.multiplier_minus == pytest.approx(1 - 0.0256, rel=1e-12)
-        assert g.growing
+        plus, minus = split_step_mode_growth(1.0, 1e-4, 16)
+        assert plus == pytest.approx(1 + 0.0256, rel=1e-12)
+        assert minus == pytest.approx(1 - 0.0256, rel=1e-12)
 
     def test_threshold_amplitude_neutral(self):
         # sqrt(1/2) is not exactly representable: 2 w^2 - 1 lands one ulp
         # above zero, so the multipliers sit within tau k^2 sqrt(2 eps) of 1
         for k in [1, 16, 64]:
-            g = split_step_mode_growth(np.sqrt(0.5), 1e-4, k)
+            plus, minus = split_step_mode_growth(np.sqrt(0.5), 1e-4, k)
             bound = 1e-4 * k**2 * 2e-8
-            assert abs(g.multiplier_plus - 1.0) <= bound
-            assert abs(g.multiplier_minus - 1.0) <= bound
+            assert abs(plus - 1.0) <= bound
+            assert abs(minus - 1.0) <= bound
 
     def test_stable_side_complex_pair(self):
-        g = split_step_mode_growth(0.5, 1e-4, 16)
-        assert not g.growing
+        plus, minus = split_step_mode_growth(0.5, 1e-4, 16)
         shift = 1e-4 * 256 * np.sqrt(0.5)
-        assert g.multiplier_plus == pytest.approx(1 + 1j * shift, abs=1e-14)
-        assert g.multiplier_minus == pytest.approx(1 - 1j * shift, abs=1e-14)
+        assert plus == pytest.approx(1 + 1j * shift, abs=1e-14)
+        assert minus == pytest.approx(1 - 1j * shift, abs=1e-14)
 
     @pytest.mark.parametrize("tau", [1e-4, 0.37])
     def test_broadcast_grid_matches_scalar_calls(self, tau):
@@ -300,20 +298,17 @@ class TestSplitStepModeGrowth:
         w = np.array(special + list(rng.uniform(0.69, 0.73, 20)))
         k = np.array([1, 2, 32, 1000, 10**160], dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            grid = split_step_mode_growth(w[:, None], tau, k[None, :])
+            plus, minus = split_step_mode_growth(w[:, None], tau, k[None, :])
             scalar = [[split_step_mode_growth(a, tau, kk) for kk in k] for a in w]
 
-        def parts(mp, mm, growing):
+        def parts(mp, mm):
             return [repr(float(mp.real)), repr(float(mp.imag)),
-                    repr(float(mm.real)), repr(float(mm.imag)), bool(growing)]
+                    repr(float(mm.real)), repr(float(mm.imag))]
 
-        assert grid.multiplier_plus.shape == grid.growing.shape == (len(w), len(k))
+        assert plus.shape == minus.shape == (len(w), len(k))
         for i in range(len(w)):
             for j in range(len(k)):
-                g = scalar[i][j]
-                assert parts(grid.multiplier_plus[i, j], grid.multiplier_minus[i, j],
-                             grid.growing[i, j]) == parts(
-                    g.multiplier_plus, g.multiplier_minus, g.growing), (w[i], k[j])
+                assert parts(plus[i, j], minus[i, j]) == parts(*scalar[i][j]), (w[i], k[j])
 
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
