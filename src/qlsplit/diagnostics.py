@@ -58,13 +58,14 @@ def error_norms(f: Field, reference: Field) -> tuple[float, float]:
 def fit_order(taus, err_l2, err_h1) -> tuple[float, float]:
     """Least-squares slopes of log(err) against log(tau), both norms.
 
-    Requires at least 3 points, strictly decreasing step sizes ``taus``
-    and every error > 0 (a NaN fails too).  For Strang splitting on smooth
-    data both slopes come out near 2.
+    Requires the same number of at least 3 points in each array, strictly
+    decreasing step sizes ``taus`` and every error > 0 (a NaN fails too).
+    For Strang splitting on smooth data both slopes come out near 2.
     """
     taus, err_l2, err_h1 = (np.asarray(x, dtype=np.float64) for x in (taus, err_l2, err_h1))
-    if len(taus) < 3:
-        raise ValueError(f"need at least 3 points to fit, got {len(taus)}")
+    if not len(taus) == len(err_l2) == len(err_h1) >= 3:
+        raise ValueError("need at least 3 points, as many in each array, got "
+                         f"{len(taus)}, {len(err_l2)} and {len(err_h1)}")
     if not (np.diff(taus) < 0).all():
         raise ValueError("step sizes must strictly decrease")
     if not ((err_l2 > 0).all() and (err_h1 > 0).all()):

@@ -180,8 +180,13 @@ class TestFitOrder:
         assert 1.7 <= o1 <= 2.1
 
     def test_requires_three_rows(self):
-        with pytest.raises(ValueError, match="3 points"):
-            fit_order([0.1, 0.05], [1e-3, 2.5e-4], [1e-2, 2.5e-3])
+        # every tau needs its two errors: unequal lengths are rejected too
+        for taus, err_l2, err_h1 in [
+            ([0.1, 0.05], [1e-3, 2.5e-4], [1e-2, 2.5e-3]),
+            ([0.1, 0.05, 0.025], [1e-3, 2.5e-4], [1e-2, 2.5e-3, 6e-4]),
+        ]:
+            with pytest.raises(ValueError, match="3 points"):
+                fit_order(taus, err_l2, err_h1)
 
     def test_rows_must_increase(self):
         # n_steps increasing is tau decreasing; a repeated tau fails too
