@@ -12,11 +12,15 @@ quartiles (`statistics.quantiles`, inclusive method, which is numpy's
 linear percentile), the number of pairs the change won, and how much
 worse the change's median is than the base's, relative to the base's
 (`worse_by`, negative when it is better), next to the metric's `bound`
-from BENCHMARK.json and a `within_bound` flag.  For the `--claim` metric
+from BENCHMARK.json and a `within_bound` flag.  `resolved` is false when
+the base's interquartile distance exceeds `bound` times its median, so
+that the runs spread too widely to tell a change of the bound's size,
+unless every head run beats every base run.  For the `--claim` metric
 it also holds the median gain next to the base's interquartile distance,
 and `met`: the change won at least 9 of 10 pairs and its median gain, in
 the metric's better direction, exceeds that distance.  `--control` runs a
-second workload the same way, with no claim, under the key "control", and
+second workload the same way, with no claim, under the key "control"
+(it needs its own `--control-seeds`), and
 `--kernel` adds `benchmarks/bench_kernel.py`'s microseconds per step of
 both src/ trees under the key "kernel".
 """
@@ -41,7 +45,10 @@ END_TO_END = {
 
 def seed_range(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    seeds = list(range(int(lo), int(hi or lo) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seeds in {text!r}")
+    return seeds
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -83,8 +90,12 @@ def pairs(base: Path, workload: str, seeds: list[int], seconds: float,
         metrics[name] = m = {side: spread(runs[side]) for side in sides}
         worse_by = -sign * (m["head"]["median"] - m["base"]["median"]) / m["base"]["median"]
         bound = END_TO_END[name]["bound"]
+        base_iqr = m["base"]["q3"] - m["base"]["q1"]
+        head_beats_all = (min(sign * h for h in runs["head"])
+                          > max(sign * b for b in runs["base"]))
         m.update(head_wins=wins, worse_by=worse_by, bound=bound,
-                 within_bound=worse_by <= bound)
+                 within_bound=worse_by <= bound,
+                 resolved=base_iqr <= bound * abs(m["base"]["median"]) or head_beats_all)
     record = {
         "command": f"python3 perfbench/run.py --workload {workload} "
                    f"--seed SEED --seconds {seconds:g} --trace 0",
@@ -125,12 +136,15 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--claim", help="end-to-end metric the change claims")
     parser.add_argument("--control", help="second workload, run without a claim")
-    parser.add_argument("--control-seeds", type=seed_range, default=[])
+    parser.add_argument("--control-seeds", type=seed_range,
+                        help="one seed per control pair, as FIRST-LAST")
     parser.add_argument("--kernel", action="store_true",
                         help="also time both src/ trees with benchmarks/bench_kernel.py")
     parser.add_argument("--change", default="", help="one line saying what changed")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
+    if (args.control is None) != (args.control_seeds is None):
+        parser.error("--control and --control-seeds must be given together")
 
     report = {"change": args.change,
               **pairs(args.base, args.workload, args.seeds, args.seconds, args.claim)}

@@ -24,8 +24,9 @@ seeds the modulus, (a + eps cos((m - k) x)) e^{ikx}, so m and its partner
 times the unperturbed march's max deviation.
 
 Exit codes: 0 success, 2 configuration error (any ValueError the library
-raises on the config's values is one), 3 blow-up guard halt or a
-non-finite planewave-check march, 4 convergence reference-run failure.
+raises on the config's values is one, and so is an array too large to
+allocate), 3 blow-up guard halt or a non-finite planewave-check march,
+4 convergence reference-run failure.
 """
 
 from __future__ import annotations
@@ -246,18 +247,15 @@ def _run_once(cfg: ExperimentConfig, n_steps: int) -> SimulationRecord:
     )
 
 
-def _write_csv(path: str, header: list[str],
-               rows: typing.Iterable[typing.Sequence]) -> None:
-    """Write a table as csv.writer would, for cells that need no quoting.
+def _write_csv(path: str, header: list[str], columns: list[list[str]]) -> None:
+    """Write a table of equal-length columns of cells as csv.writer would.
 
-    Each cell is a Python number or a string, written with str (floats
-    as repr); None is an empty cell.  Lines end in CRLF.
+    Each cell is a string that needs no quoting (floats as repr, an empty
+    cell as ""); lines end in CRLF.  One join and one write per table.
     """
+    lines = [",".join(header), *map(",".join, zip(*columns, strict=True)), ""]
     with open(path, "w", newline="") as fh:
-        fh.writelines(
-            ",".join("" if cell is None else str(cell) for cell in row) + "\r\n"
-            for row in [header, *rows]
-        )
+        fh.write("\r\n".join(lines))
 
 
 def _write_json(path: str, document: dict) -> None:
@@ -270,12 +268,13 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     rec = _run_once(cfg, cfg.n_steps)
     series = (rec.times, rec.max_amplitude, rec.mass, rec.energy, rec.min_ellipticity)
     _write_csv(cfg.output + ".csv", ["t", "max_amp", "mass", "energy", "min_ellipticity"],
-               zip(*(column.tolist() for column in series)))
+               [list(map(repr, column.tolist())) for column in series])
     for i, (t, fld) in enumerate(rec.snapshots):
         # scalar abs per value: vectorised np.abs differs from it in the last bit
         _write_csv(f"{cfg.output}_snapshot_{i:03d}.csv", ["x", "re_u", "im_u", "abs_u"],
-                   zip(fld.grid.nodes.tolist(), fld.values.real.tolist(),
-                       fld.values.imag.tolist(), map(abs, fld.values.tolist())))
+                   [list(map(repr, column)) for column in (
+                       fld.grid.nodes.tolist(), fld.values.real.tolist(),
+                       fld.values.imag.tolist(), map(abs, fld.values.tolist()))])
     if rec.blowup is not None:
         _write_json(cfg.output + "_blowup.json", {
             "onset_time": rec.blowup.onset_time,
@@ -332,8 +331,9 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
         )
         rows.append((n, l2_norm(diff), h1_seminorm(diff), "ok"))
 
-    _write_csv(cfg.output + "_table.csv",
-               ["n_steps", "err_l2", "err_h1", "status"], rows)
+    _write_csv(cfg.output + "_table.csv", ["n_steps", "err_l2", "err_h1", "status"],
+               [["" if cell is None else str(cell) for cell in column]
+                for column in zip(*rows)])
 
     ok = np.array([row[:3] for row in rows if row[3] == "ok"], dtype=float).reshape(-1, 3)
     n_ok, err_l2, err_h1 = ok.T
@@ -390,30 +390,6 @@ def _growth_multipliers(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     return growth
 
 
-def _write_multipliers_csv(path: str, cfg: ExperimentConfig,
-                           growth: tuple[np.ndarray, np.ndarray]) -> None:
-    """The rows csv.writer would write, one buffered write per amplitude.
-
-    Every field is a plain number (floats as repr), so no field needs
-    quoting; lines end in CRLF as csv.writer ends them.
-    """
-    tau = repr(cfg.growth_tau)
-    ks = [str(int(k)) for k in cfg.growth_wavenumbers]
-    plus, minus = growth
-    rows = zip(cfg.amplitude_grid, plus.real, plus.imag, minus.real, minus.imag)
-    with open(path, "w", newline="") as fh:
-        fh.write("w,tau,k,mult_plus_re,mult_plus_im,"
-                 "mult_minus_re,mult_minus_im,growing\r\n")
-        for w, *parts in rows:
-            head = f"{float(w)!r},{tau},"
-            # growing is split_step_mode_growth's radicand > 0: one flag per w
-            tail = f",{int(2.0 * w * w - 1.0 > 0)}\r\n"
-            fh.write("".join([
-                f"{head}{k},{pr!r},{pi!r},{mr!r},{mi!r}{tail}"
-                for k, pr, pi, mr, mi in zip(ks, *(part.tolist() for part in parts))
-            ]))
-
-
 def cmd_stability(cfg: ExperimentConfig) -> int:
     """Scan carrier amplitudes for modewise instability; optional multipliers."""
     if (cfg.growth_tau is None) != (not cfg.growth_wavenumbers):
@@ -426,12 +402,26 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
             "growth_rate overflows a float for some amplitude_grid entries at xi_max"
         )
     growth = None if cfg.growth_tau is None else _growth_multipliers(cfg)
+    amplitudes = list(map(repr, cfg.amplitude_grid))
+    flags = unstable.tolist()
     _write_csv(cfg.output + "_stability.csv",
                ["amplitude", "unstable", "worst_xi", "growth_rate"],
-               [(a, int(u), cfg.xi_max if u else None, rate) for a, u, rate
-                in zip(cfg.amplitude_grid, unstable.tolist(), growth_rate.tolist())])
+               [amplitudes, [str(int(u)) for u in flags],
+                [str(cfg.xi_max) if u else "" for u in flags],
+                list(map(repr, growth_rate.tolist()))])
     if growth is not None:
-        _write_multipliers_csv(cfg.output + "_multipliers.csv", cfg, growth)
+        ks = [str(int(k)) for k in cfg.growth_wavenumbers]
+        # one row per (w, k), k fastest; growing, split_step_mode_growth's
+        # radicand > 0, is one flag per w like w itself
+        ws, growing = ([cell for cell in column for _ in ks] for column in (
+            amplitudes, [str(int(2.0 * w * w - 1.0 > 0)) for w in cfg.amplitude_grid]))
+        _write_csv(cfg.output + "_multipliers.csv",
+                   ["w", "tau", "k", "mult_plus_re", "mult_plus_im",
+                    "mult_minus_re", "mult_minus_im", "growing"],
+                   [ws, [repr(cfg.growth_tau)] * len(ws), ks * len(amplitudes),
+                    *(list(map(repr, part.ravel().tolist()))
+                      for half in growth for part in (half.real, half.imag)),
+                    growing])
     print(
         f"{len(unstable)} amplitudes scanned, {unstable.sum()} unstable; "
         f"report in {cfg.output}_stability.csv"
@@ -557,7 +547,7 @@ def main(argv: list[str] | None = None) -> int:
         if changed:
             raise ConfigError(f"{command} does not read {', '.join(changed)}; unset them")
         return run(cfg)
-    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

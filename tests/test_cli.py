@@ -26,7 +26,7 @@ from qlsplit.cli import (
     parse_config,
 )
 from qlsplit.model import Gaussian, ModelSpec
-from qlsplit.spectral import GridSpec
+from qlsplit.spectral import Field, GridSpec, h1_seminorm, l2_norm
 from qlsplit.splitting import StepperConfig, run_simulation
 from qlsplit.stability import gn_eigenvalues
 
@@ -146,6 +146,21 @@ class TestValidation:
     def test_missing_config_file(self):
         rc = main(["simulate", "--config", "/no/such/config.json"])
         assert rc == EXIT_CONFIG
+
+    def test_unallocatable_size_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # numpy raises a MemoryError when the host refuses an array; a real
+        # 1e12-point allocation may be OOM-killed instead on a host that
+        # overcommits, so the run raises numpy's message without allocating
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array with shape "
+                              "(1000000000000,) and data type complex128")
+
+        monkeypatch.setattr("qlsplit.cli.run_simulation", refuse)
+        rc = main(["simulate", "--n-points", "1000000000000", "--n-steps", "1",
+                   "--t-final", "0.001", "--output", str(tmp_path / "big")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: Unable to allocate 14.6 TiB")
+        assert not list(tmp_path.glob("big*"))
 
     def test_stepper_fields_are_config_fields(self):
         # the CLI passes each of them to StepperConfig by name
@@ -533,6 +548,78 @@ class TestStability:
         rows = read_csv(out + "_multipliers.csv")
         assert float(rows[1][3]) == pytest.approx(1.0256, rel=1e-9)
         assert int(rows[1][7]) == 1
+
+
+def reference_simulate_csvs(prefix, rec):
+    """csv.writer's diagnostics CSV and snapshot CSVs of a run record."""
+    with open(prefix + ".csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "max_amp", "mass", "energy", "min_ellipticity"])
+        for row in zip(rec.times, rec.max_amplitude, rec.mass, rec.energy,
+                       rec.min_ellipticity):
+            writer.writerow([repr(float(v)) for v in row])
+    for i, (_, fld) in enumerate(rec.snapshots):
+        with open(f"{prefix}_snapshot_{i:03d}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "re_u", "im_u", "abs_u"])
+            for x, u in zip(fld.grid.nodes, fld.values):
+                u = complex(u)
+                writer.writerow([repr(float(x)), repr(u.real), repr(u.imag), repr(abs(u))])
+
+
+def test_simulate_csvs_match_csv_writer(tmp_path):
+    cfg = ExperimentConfig(
+        n_points=64, amplitude=0.2, width=0.5, n_steps=40, t_final=0.04,
+        record_every=3, snapshot_times=(0.0, 0.02), output=str(tmp_path / "got"),
+    )
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+    stepper = StepperConfig(tau=cfg.t_final / cfg.n_steps, record_every=3,
+                            snapshot_times=cfg.snapshot_times)
+    rec = run_simulation(ModelSpec.pseudo_attractive(), Gaussian(0.2, 0.5),
+                         GridSpec(64), stepper, cfg.t_final)
+    reference_simulate_csvs(str(tmp_path / "want"), rec)
+    names = [".csv", "_snapshot_000.csv", "_snapshot_001.csv"]
+    assert sorted(p.name for p in tmp_path.glob("want*")) == sorted("want" + n for n in names)
+    for suffix in names:
+        got, want = tmp_path / ("got" + suffix), tmp_path / ("want" + suffix)
+        assert got.read_bytes() == want.read_bytes(), suffix
+
+
+def reference_converge_table(path, cfg):
+    """csv.writer's converge table, from the ladder and reference runs made here."""
+    def run(n):
+        stepper = StepperConfig(tau=cfg.t_final / n, record_every=n,
+                                energy_guard_factor=cfg.energy_guard_factor)
+        return run_simulation(ModelSpec.pseudo_attractive(),
+                              Gaussian(cfg.amplitude, cfg.width),
+                              GridSpec(cfg.n_points), stepper, cfg.t_final)
+
+    reference = run(cfg.reference_n_steps).final_field
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n_steps", "err_l2", "err_h1", "status"])
+        for n in cfg.nt_ladder:
+            rec = run(n)
+            if rec.blew_up:
+                writer.writerow([n, "", "", "unstable"])
+                continue
+            diff = Field(reference.grid, rec.final_field.values - reference.values)
+            writer.writerow([n, repr(l2_norm(diff)), repr(h1_seminorm(diff)), "ok"])
+
+
+@pytest.mark.parametrize("fields", [
+    # the configs of test_small_ladder_second_order and test_unstable_row_flagged
+    pytest.param(dict(n_points=64, amplitude=0.3, width=0.5, t_final=0.2,
+                      nt_ladder=(50, 100, 200), reference_n_steps=3200), id="ok-rows"),
+    pytest.param(dict(n_points=256, amplitude=0.625, width=0.1, t_final=np.pi / 4,
+                      nt_ladder=(500,), reference_n_steps=8000,
+                      energy_guard_factor=10.0), id="unstable-row"),
+])
+def test_converge_table_matches_csv_writer(tmp_path, fields):
+    cfg = ExperimentConfig(output=str(tmp_path / "got"), **fields)
+    assert main(["converge", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+    reference_converge_table(str(tmp_path / "want.csv"), cfg)
+    assert (tmp_path / "got_table.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def reference_multipliers_csv(prefix, amplitude_grid, xi_max, tau, wavenumbers):
