@@ -53,7 +53,7 @@ from .model import (
     Perturbation,
     PlaneWave,
 )
-from .spectral import Field, GridSpec, h1_seminorm, l2_norm
+from .spectral import GridSpec, h1_seminorm, l2_norm
 from .splitting import (
     SimulationRecord,
     StepperConfig,
@@ -269,12 +269,12 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     series = (rec.times, rec.max_amplitude, rec.mass, rec.energy, rec.min_ellipticity)
     _write_csv(cfg.output + ".csv", ["t", "max_amp", "mass", "energy", "min_ellipticity"],
                [list(map(repr, column.tolist())) for column in series])
-    for i, (t, fld) in enumerate(rec.snapshots):
+    x = GridSpec(cfg.n_points).nodes.tolist()
+    for i, (t, u) in enumerate(rec.snapshots):
         # scalar abs per value: vectorised np.abs differs from it in the last bit
         _write_csv(f"{cfg.output}_snapshot_{i:03d}.csv", ["x", "re_u", "im_u", "abs_u"],
                    [list(map(repr, column)) for column in (
-                       fld.grid.nodes.tolist(), fld.values.real.tolist(),
-                       fld.values.imag.tolist(), map(abs, fld.values.tolist()))])
+                       x, u.real.tolist(), u.imag.tolist(), map(abs, u.tolist()))])
     if rec.blowup is not None:
         _write_json(cfg.output + "_blowup.json", {
             "onset_time": rec.blowup.onset_time,
@@ -325,10 +325,7 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
         if rec.blew_up:
             rows.append((n, None, None, "unstable"))
             continue
-        diff = Field(
-            reference.final_field.grid,
-            rec.final_field.values - reference.final_field.values,
-        )
+        diff = rec.final_field - reference.final_field
         rows.append((n, l2_norm(diff), h1_seminorm(diff), "ok"))
 
     _write_csv(cfg.output + "_table.csv", ["n_steps", "err_l2", "err_h1", "status"],

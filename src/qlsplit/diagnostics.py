@@ -6,7 +6,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .model import ModelSpec
-from .spectral import Field, _power, h1_seminorm, l2_norm
+from .spectral import _grid, _power, h1_seminorm, l2_norm
 
 __all__ = [
     "mass",
@@ -16,12 +16,13 @@ __all__ = [
 ]
 
 
-def mass(f: Field) -> float:
+def mass(u: np.ndarray) -> float:
     """M(u) = integral of |u|^2, evaluated as 2*pi*sum_k |u_hat_k|^2."""
-    return _power(np.fft.fft(f.values))
+    _grid(u)
+    return _power(np.fft.fft(u))
 
 
-def energy(f: Field, model: ModelSpec) -> float:
+def energy(u: np.ndarray, model: ModelSpec) -> float:
     """Conserved energy of the flow.
 
     For the pseudo-attractive model this is
@@ -35,23 +36,23 @@ def energy(f: Field, model: ModelSpec) -> float:
     middle term is a trapezoidal sum on the grid (the quartic term aliases,
     acceptably at the working resolutions).
     """
-    k2 = f.grid._k2_paired
-    s = f.values.real**2 + f.values.imag**2
-    e = 0.5 * _power(np.fft.fft(f.values), k2)
-    e += 0.5 * f.grid.spacing * float(np.sum(P.polyval(s, P.polyint(model.f_coeffs))))
+    grid = _grid(u)
+    k2 = grid._k2_paired
+    s = u.real**2 + u.imag**2
+    e = 0.5 * _power(np.fft.fft(u), k2)
+    e += 0.5 * grid.spacing * float(np.sum(P.polyval(s, P.polyint(model.f_coeffs))))
     if model.quasilinear_sign != 0:
         g_raw = np.fft.fft(P.polyval(s, model.g_coeffs))
         e -= model.quasilinear_sign * 0.25 * _power(g_raw, k2)
     return e
 
 
-def error_norms(f: Field, reference: Field) -> tuple[float, float]:
-    """(L2, H1-seminorm) distance between two fields on the same grid."""
-    if f.grid.n_points != reference.grid.n_points:
-        raise ValueError(
-            f"grid mismatch: {f.grid.n_points} vs {reference.grid.n_points} points"
-        )
-    diff = Field(f.grid, f.values - reference.values)
+def error_norms(u: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
+    """(L2, H1-seminorm) distance between two states on the same grid."""
+    n, n_ref = _grid(u).n_points, _grid(reference).n_points
+    if n != n_ref:
+        raise ValueError(f"grid mismatch: {n} vs {n_ref} points")
+    diff = u - reference
     return l2_norm(diff), h1_seminorm(diff)
 
 
@@ -59,17 +60,17 @@ def fit_order(taus, err_l2, err_h1) -> tuple[float, float]:
     """Least-squares slopes of log(err) against log(tau), both norms.
 
     Requires the same number of at least 3 points in each array, strictly
-    decreasing step sizes ``taus`` and every error > 0 (a NaN fails too).
+    decreasing step sizes ``taus`` and every step and error finite and > 0.
     For Strang splitting on smooth data both slopes come out near 2.
     """
     taus, err_l2, err_h1 = (np.asarray(x, dtype=np.float64) for x in (taus, err_l2, err_h1))
     if not len(taus) == len(err_l2) == len(err_h1) >= 3:
         raise ValueError("need at least 3 points, as many in each array, got "
                          f"{len(taus)}, {len(err_l2)} and {len(err_h1)}")
-    if not (np.diff(taus) < 0).all():
-        raise ValueError("step sizes must strictly decrease")
-    if not ((err_l2 > 0).all() and (err_h1 > 0).all()):
-        raise ValueError("errors must be positive for a log-log fit")
+    if not (((0 < taus) & (taus < np.inf)).all() and (np.diff(taus) < 0).all()):
+        raise ValueError("step sizes must be finite, positive and strictly decreasing")
+    if not all(((0 < err) & (err < np.inf)).all() for err in (err_l2, err_h1)):
+        raise ValueError("errors must be finite and positive for a log-log fit")
     log_tau = np.log(taus)
     order_l2 = float(np.polyfit(log_tau, np.log(err_l2), 1)[0])
     order_h1 = float(np.polyfit(log_tau, np.log(err_h1), 1)[0])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .spectral import Field, GridSpec
+from .spectral import GridSpec
 
 __all__ = [
     "ModelSpec",
@@ -34,8 +34,8 @@ class ModelSpec:
     """Nonlinearity selection for the quasilinear Schrodinger family.
 
     ``f_coeffs`` and ``g_coeffs`` are polynomial coefficients in s = |u|^2,
-    ascending order.  ``gprime_coeffs`` is not an input: it is always the
-    exact derivative of g, ``(0.0,)`` for a constant g.
+    ascending order, each nonempty and finite.  ``gprime_coeffs`` is not an
+    input: it is always the exact derivative of g, ``(0.0,)`` for a constant g.
     """
 
     f_coeffs: tuple[float, ...] = (0.0, 1.0)
@@ -48,8 +48,11 @@ class ModelSpec:
             raise ValueError(
                 f"quasilinear_sign must be -1, 0 or +1, got {self.quasilinear_sign}"
             )
-        object.__setattr__(self, "f_coeffs", tuple(float(c) for c in self.f_coeffs))
-        object.__setattr__(self, "g_coeffs", tuple(float(c) for c in self.g_coeffs))
+        for name in ("f_coeffs", "g_coeffs"):
+            coeffs = tuple(float(c) for c in getattr(self, name))
+            if not (coeffs and np.isfinite(coeffs).all()):
+                raise ValueError(f"{name} must be nonempty and finite, got {coeffs}")
+            object.__setattr__(self, name, coeffs)
         derived = tuple(float(c) for c in P.polyder(self.g_coeffs))
         object.__setattr__(self, "gprime_coeffs", derived or (0.0,))
 
@@ -111,10 +114,10 @@ class MultiMode:
         ks = tuple(int(k) for k in self.wavenumbers)
         if len(ks) == 0:
             raise ValueError("MultiMode requires at least one wavenumber")
-        if any(k < 0 for k in ks) or list(ks) != sorted(set(ks)):
+        if ks != tuple(self.wavenumbers) or min(ks) < 0 or list(ks) != sorted(set(ks)):
             raise ValueError(
                 f"MultiMode wavenumbers must be distinct, nonnegative and "
-                f"ascending, got {ks}"
+                f"ascending integers, got {self.wavenumbers}"
             )
         object.__setattr__(self, "wavenumbers", ks)
 
@@ -123,22 +126,22 @@ InitialCondition = Gaussian | PlaneWave | MultiMode
 
 
 def _check_mode(k: int, grid: GridSpec, what: str) -> None:
-    if abs(int(k)) >= grid.n_points // 2:
+    if k != int(k) or abs(int(k)) >= grid.n_points // 2:
         raise ValueError(
             f"{what} {k} is not representable on a grid with "
-            f"{grid.n_points} points (need |k| < N/2)"
+            f"{grid.n_points} points (need an integer |k| < N/2)"
         )
 
 
-def exact_plane_wave(a: float, k: int, t: float, grid: GridSpec) -> Field:
+def exact_plane_wave(a: float, k: int, t: float, grid: GridSpec) -> np.ndarray:
     """Wave train a*exp(i(kx - omega t)) with dispersion omega = k^2 + a^2."""
     _check_mode(k, grid, "plane-wave wavenumber")
     omega = k * k + a * a
-    return Field(grid, a * np.exp(1j * (k * grid.nodes - omega * t)))
+    return a * np.exp(1j * (k * grid.nodes - omega * t))
 
 
-def build_initial_condition(ic: InitialCondition, grid: GridSpec) -> Field:
-    """Sample an initial-condition description onto the grid."""
+def build_initial_condition(ic: InitialCondition, grid: GridSpec) -> np.ndarray:
+    """Sample an initial-condition description onto the grid's nodes."""
     x = grid.nodes
     if isinstance(ic, Gaussian):
         u = ic.amplitude * np.exp(-(x**2) / (2.0 * ic.width**2)).astype(complex)
@@ -156,4 +159,4 @@ def build_initial_condition(ic: InitialCondition, grid: GridSpec) -> Field:
     if ic.perturbation is not None:
         _check_mode(ic.perturbation.mode, grid, "perturbation mode")
         u = u + ic.perturbation.amplitude * np.exp(1j * ic.perturbation.mode * x)
-    return Field(grid, u)
+    return u

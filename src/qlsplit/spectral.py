@@ -1,20 +1,21 @@
 """Periodic grid, Fourier transform conventions, spectral filters and norms.
 
 Everything in this module works on the domain (-pi, pi] with N equispaced
-nodes.  Spectra are numpy's raw FFT of the node values, in FFT order,
-aligned with ``GridSpec.wavenumbers``; the Parseval sums carry the 1/N^2.
+nodes.  A state is the 1-D complex array of its N node values.  Spectra are
+numpy's raw FFT of the node values, in FFT order, aligned with
+``GridSpec.wavenumbers``; the Parseval sums carry the 1/N^2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 __all__ = [
     "GridSpec",
-    "Field",
     "l2_norm",
     "h1_seminorm",
 ]
@@ -72,27 +73,21 @@ class GridSpec:
     def spacing(self) -> float:
         return 2.0 * np.pi / self.n_points
 
-    def __repr__(self) -> str:  # keep reprs short in test output
-        return f"GridSpec(n_points={self.n_points})"
+
+_grid_of = cache(GridSpec)
 
 
-@dataclass(frozen=True, eq=False)
-class Field:
-    """Complex-valued state on a grid; immutable."""
+def _grid(u: np.ndarray) -> GridSpec:
+    """The grid of node array u, one per length; ValueError unless u is 1-D of a grid size."""
+    if np.ndim(u) != 1:
+        raise ValueError(f"a state is a 1-D node array, got shape {np.shape(u)}")
+    return _grid_of(len(u))
 
-    grid: GridSpec
-    values: np.ndarray
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"values shape {v.shape} does not match grid with "
-                f"{self.grid.n_points} points"
-            )
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+def _check_positive(name: str, value: float) -> None:
+    """The rule for every step argument: 0 < value < inf, so NaN fails too."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _filter_weights(
@@ -105,8 +100,7 @@ def _filter_weights(
     kabs = np.abs(grid.wavenumbers)
     keep = np.ones(grid.n_points, dtype=bool)
     if mollify_eps is not None:
-        if mollify_eps <= 0:
-            raise ValueError(f"mollifier eps must be positive, got {mollify_eps}")
+        _check_positive("mollify_eps", mollify_eps)
         keep &= kabs <= int(np.floor(1.0 / mollify_eps))
     if dealias:
         keep &= kabs <= grid.n_points // 3
@@ -119,11 +113,13 @@ def _power(raw: np.ndarray, weights: np.ndarray | float = 1.0) -> float:
     return float(2.0 * np.pi / len(raw) ** 2 * np.sum(weights * (raw.real**2 + raw.imag**2)))
 
 
-def l2_norm(f: Field) -> float:
+def l2_norm(u: np.ndarray) -> float:
     """Continuum L2(-pi, pi] norm via Parseval: sqrt(2*pi*sum_k |u_hat_k|^2)."""
-    return float(np.sqrt(_power(np.fft.fft(f.values))))
+    _grid(u)
+    return float(np.sqrt(_power(np.fft.fft(u))))
 
 
-def h1_seminorm(f: Field) -> float:
+def h1_seminorm(u: np.ndarray) -> float:
     """L2 norm of the first spatial derivative, the Nyquist mode -N/2 zeroed."""
-    return float(np.sqrt(_power(np.fft.fft(f.values), f.grid._k2_paired)))
+    k2 = _grid(u)._k2_paired  # before the FFT, which takes any shape
+    return float(np.sqrt(_power(np.fft.fft(u), k2)))

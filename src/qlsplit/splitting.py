@@ -28,7 +28,7 @@ from .model import (
     build_initial_condition,
     exact_plane_wave,
 )
-from .spectral import Field, GridSpec, _filter_weights, l2_norm
+from .spectral import GridSpec, _check_positive, _filter_weights, _grid, l2_norm
 
 __all__ = [
     "StepperConfig",
@@ -74,12 +74,10 @@ class StepperConfig:
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if not 0 < self.tau < math.inf:
-            raise ValueError(f"tau must be finite and positive, got {self.tau}")
-        if self.mollify_eps is not None and not 0 < self.mollify_eps < math.inf:
-            raise ValueError(
-                f"mollify_eps must be finite and positive, got {self.mollify_eps}"
-            )
+        _check_positive("tau", self.tau)
+        for name in ("mollify_eps", "energy_guard_factor"):
+            if getattr(self, name) is not None:
+                _check_positive(name, getattr(self, name))
         if self.krasny_delta is not None and not 0.0 < self.krasny_delta < 1.0:
             raise ValueError(
                 f"krasny_delta must lie in (0, 1), got {self.krasny_delta}"
@@ -87,13 +85,6 @@ class StepperConfig:
         if not 1.0 < self.blowup_factor < math.inf:
             raise ValueError(
                 f"blowup_factor must be finite and exceed 1, got {self.blowup_factor}"
-            )
-        if self.energy_guard_factor is not None and not (
-            0 < self.energy_guard_factor < math.inf
-        ):
-            raise ValueError(
-                "energy_guard_factor must be finite and positive, "
-                f"got {self.energy_guard_factor}"
             )
         if self.record_every < 1:
             raise ValueError(
@@ -106,7 +97,7 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class BlowupReport:
-    """First guard trip: when and why (the field is SimulationRecord.final_field)."""
+    """First guard trip: when and why (the state is SimulationRecord.final_field)."""
 
     onset_time: float
     trigger: str  # "amplitude" | "nonfinite" | "energy"
@@ -120,8 +111,8 @@ class SimulationRecord:
     max_amplitude: np.ndarray
     mass: np.ndarray
     energy: np.ndarray
-    final_field: Field
-    snapshots: list[tuple[float, Field]] = field(default_factory=list)
+    final_field: np.ndarray
+    snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
     blowup: BlowupReport | None = None
 
     @property
@@ -233,17 +224,17 @@ class _StepKernel:
 
 
 def nonlinear_phase_step(
-    model: ModelSpec, f: Field, tau: float, mollify_eps: float | None = None
-) -> Field:
+    model: ModelSpec, u: np.ndarray, tau: float, mollify_eps: float | None = None
+) -> np.ndarray:
     """Exact flow of the nonlinear sub-equation: u -> u * exp(-i tau V[u]).
 
     The potential V is frozen at the input amplitude (which the flow itself
     conserves nodewise), so the map is a pure pointwise phase rotation.
     With ``mollify_eps`` set, the frequency cutoff is applied to V.
     """
-    s = f.values.real**2 + f.values.imag**2
-    kernel = _StepKernel(f.grid, model, tau, mollify_eps)
-    return Field(f.grid, f.values * kernel.phase(s))
+    s = u.real**2 + u.imag**2
+    kernel = _StepKernel(_grid(u), model, tau, mollify_eps)
+    return u * kernel.phase(s)
 
 
 def _step_index(t: float, tau: float, what: str) -> int:
@@ -267,13 +258,15 @@ def _guard_trigger(amp: float, threshold: float) -> str | None:
 
 def run_simulation(
     model: ModelSpec,
-    ic: InitialCondition | Field,
+    ic: InitialCondition | np.ndarray,
     grid: GridSpec,
     cfg: StepperConfig,
     t_final: float,
 ) -> SimulationRecord:
     """March the Strang scheme to t_final, recording diagnostics.
 
+    ``ic`` is an initial-condition description or the initial node array,
+    which the run copies.
     Diagnostics (t, max amplitude, mass, energy, ellipticity minimum) are
     recorded at t = 0, every ``cfg.record_every`` steps, and at the end.
     The run halts early with a ``BlowupReport`` as soon as the maximum
@@ -299,10 +292,13 @@ def run_simulation(
             f"t_final = {t_final} is not an integer multiple of tau = {cfg.tau}"
         )
 
-    u0 = ic if isinstance(ic, Field) else build_initial_condition(ic, grid)
-    if u0.grid.n_points != grid.n_points:
-        raise ValueError("initial field does not live on the requested grid")
-    if not np.isfinite(u0.values).all():
+    if isinstance(ic, np.ndarray):
+        u0 = np.array(ic, dtype=np.complex128)
+    else:
+        u0 = build_initial_condition(ic, grid)
+    if u0.shape != (grid.n_points,):
+        raise ValueError(f"initial state of shape {u0.shape} does not fit {grid}")
+    if not np.isfinite(u0).all():
         raise ValueError("initial data contains non-finite samples")
 
     snap_steps: dict[int, float] = {}
@@ -324,29 +320,28 @@ def run_simulation(
     amps: list[float] = []
     masses: list[float] = []
     energies: list[float] = []
-    snapshots: list[tuple[float, Field]] = []
+    snapshots: list[tuple[float, np.ndarray]] = []
     blowup: BlowupReport | None = None
 
     def record(t: float, u: np.ndarray, amp: float) -> float:
-        fld = Field(grid, u)
         times.append(t)
         amps.append(amp)
-        masses.append(diagnostics.mass(fld))
-        e = diagnostics.energy(fld, model)
+        masses.append(diagnostics.mass(u))
+        e = diagnostics.energy(u, model)
         energies.append(e)
         return e
 
-    amp0 = float(np.abs(u0.values).max())
+    amp0 = float(np.abs(u0).max())
     threshold = cfg.blowup_factor * amp0
-    energy0 = record(0.0, u0.values, amp0)
+    energy0 = record(0.0, u0, amp0)
     energy_threshold = None
     if cfg.energy_guard_factor is not None:
         energy_threshold = cfg.energy_guard_factor * (abs(energy0) + masses[0])
     if 0 in snap_steps:
         snapshots.append((0.0, u0))
 
-    u = u0.values
-    for n, f, s_max in kernel.march(u0.values, n_steps):
+    u = u0
+    for n, f, s_max in kernel.march(u0, n_steps):
         trigger = _guard_trigger(math.sqrt(s_max), threshold)
         stride = n % cfg.record_every == 0 or n == n_steps
         if trigger is not None or stride or n in snap_steps:
@@ -363,7 +358,7 @@ def run_simulation(
                 ):
                     trigger = "energy"
             if n in snap_steps:
-                snapshots.append((t, Field(grid, u)))
+                snapshots.append((t, u))
             if trigger is not None:
                 blowup = BlowupReport(onset_time=t, trigger=trigger)
                 break
@@ -373,7 +368,7 @@ def run_simulation(
         max_amplitude=np.asarray(amps),
         mass=np.asarray(masses),
         energy=np.asarray(energies),
-        final_field=Field(grid, u),
+        final_field=u,
         snapshots=snapshots,
         blowup=blowup,
     )
@@ -402,10 +397,14 @@ def planewave_deviation(
     The growth factor is None when the start has no finite, nonzero
     perturbation energy: an unperturbed start, or one whose energy
     underflows to 0 or overflows.
-    Raises ValueError when k or a sideband of the perturbation is not
-    representable on the grid, and when m = k: at xi = m - k = 0 the seed
-    is no sideband but a change of the carrier's own amplitude.
+    Raises ValueError unless tau is finite and positive and n_steps >= 1,
+    when k or a sideband of the perturbation is not representable on the
+    grid, and when m = k: at xi = m - k = 0 the seed is no sideband but a
+    change of the carrier's own amplitude.
     """
+    _check_positive("tau", tau)
+    if not n_steps >= 1:
+        raise ValueError(f"n_steps must be a positive integer, got {n_steps}")
     exact0 = exact_plane_wave(a, k, 0.0, grid)
     x = grid.nodes
     modulus = a
@@ -417,13 +416,13 @@ def planewave_deviation(
         _check_mode(m, grid, "perturbation mode")
         _check_mode(2 * k - m, grid, "perturbation partner mode 2k - m")
         modulus = a + perturbation.amplitude * np.cos((m - k) * x)
-    u0 = Field(grid, modulus * np.exp(1j * k * x))
-    energy0 = diagnostics.mass(Field(grid, u0.values - exact0.values))
+    u0 = modulus * np.exp(1j * k * x)
+    energy0 = diagnostics.mass(u0 - exact0)
 
     max_dev = 0.0
-    for n, f, _ in _StepKernel(grid, model, tau).march(u0.values, n_steps):
+    for n, f, _ in _StepKernel(grid, model, tau).march(u0, n_steps):
         exact = exact_plane_wave(a, k, n * tau, grid)
-        dev = l2_norm(Field(grid, np.fft.ifft(f) - exact.values))
+        dev = l2_norm(np.fft.ifft(f) - exact)
         max_dev = max(max_dev, dev) if math.isfinite(dev) else math.inf
         if max_dev == math.inf:
             break

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .spectral import _check_positive
+
 __all__ = [
     "gn_matrix",
     "gn_eigenvalues",
@@ -123,8 +125,7 @@ def split_step_mode_growth(w_amplitude, tau: float, k):
     multiply), so it equals the call for that (w, k) alone bit for bit,
     signed zeros and the inf/nan of an overflow included.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    _check_positive("tau", tau)
     w = np.asarray(w_amplitude, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     radicand = 2.0 * w * w - 1.0

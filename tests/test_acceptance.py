@@ -48,7 +48,6 @@ import time
 import numpy as np
 
 from qlsplit import (
-    Field,
     Gaussian,
     GridSpec,
     ModelSpec,
@@ -237,7 +236,7 @@ def test_criterion_5_threshold_dichotomy():
 
     def growth(a: float) -> float:
         """Peak perturbation energy over the snapshots, relative to t = 0."""
-        u0 = Field(grid, a + seed * np.cos(xi0 * grid.nodes))
+        u0 = a + seed * np.cos(xi0 * grid.nodes)
         cfg = StepperConfig(
             tau=tau, record_every=n_steps, snapshot_times=snapshot_times
         )
@@ -246,7 +245,7 @@ def test_criterion_5_threshold_dichotomy():
 
         def deviation(t, f):
             exact = exact_plane_wave(a, 0, t, grid)
-            return l2_norm(Field(grid, f.values - exact.values)) ** 2
+            return l2_norm(f - exact) ** 2
 
         return max(deviation(t, f) for t, f in rec.snapshots) / deviation(0.0, u0)
 
@@ -374,9 +373,9 @@ def test_criterion_8_nonlinear_step_amplitude_conservation():
             # solution-scale random data: amplitudes up to ~1.3
             mags = 1.3 * rng.uniform(0, 1, n)
             phases = rng.uniform(0, 2 * np.pi, n)
-            f = Field(grid, mags * np.exp(1j * phases))
+            f = mags * np.exp(1j * phases)
             out = nonlinear_phase_step(MODEL, f, tau)
-            dev = np.abs(np.abs(out.values) - np.abs(f.values)).max()
+            dev = np.abs(np.abs(out) - np.abs(f)).max()
             worst = max(worst, dev)
     report(
         "criterion 8 (nonlinear sub-step conserves nodewise amplitude)",

@@ -26,7 +26,7 @@ from qlsplit.cli import (
     parse_config,
 )
 from qlsplit.model import Gaussian, ModelSpec
-from qlsplit.spectral import Field, GridSpec, h1_seminorm, l2_norm
+from qlsplit.spectral import GridSpec, h1_seminorm, l2_norm
 from qlsplit.splitting import StepperConfig, run_simulation
 from qlsplit.stability import gn_eigenvalues
 
@@ -376,14 +376,14 @@ class TestSimulate:
         rec = run_simulation(ModelSpec.pseudo_attractive(), Gaussian(0.2, 0.5),
                              GridSpec(64), stepper, cfg.t_final)
         assert len(rec.snapshots) == 2
-        for i, (_, fld) in enumerate(rec.snapshots):
+        for i, (_, state) in enumerate(rec.snapshots):
             rows = read_csv(f"{out}_snapshot_{i:03d}.csv")
             assert rows[0] == ["x", "re_u", "im_u", "abs_u"]
             assert len(rows) == 65
             cells = [[float(cell) for cell in row] for row in rows[1:]]
             assert cells == [
                 [x, u.real, u.imag, abs(u)]
-                for x, u in zip(fld.grid.nodes.tolist(), fld.values.tolist())
+                for x, u in zip(GridSpec(64).nodes.tolist(), state.tolist())
             ]
         assert cells[0][0] == pytest.approx(-np.pi)
 
@@ -558,11 +558,11 @@ def reference_simulate_csvs(prefix, rec):
         for row in zip(rec.times, rec.max_amplitude, rec.mass, rec.energy,
                        rec.min_ellipticity):
             writer.writerow([repr(float(v)) for v in row])
-    for i, (_, fld) in enumerate(rec.snapshots):
+    for i, (_, state) in enumerate(rec.snapshots):
         with open(f"{prefix}_snapshot_{i:03d}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "re_u", "im_u", "abs_u"])
-            for x, u in zip(fld.grid.nodes, fld.values):
+            for x, u in zip(GridSpec(len(state)).nodes, state):
                 u = complex(u)
                 writer.writerow([repr(float(x)), repr(u.real), repr(u.imag), repr(abs(u))])
 
@@ -603,7 +603,7 @@ def reference_converge_table(path, cfg):
             if rec.blew_up:
                 writer.writerow([n, "", "", "unstable"])
                 continue
-            diff = Field(reference.grid, rec.final_field.values - reference.values)
+            diff = rec.final_field - reference
             writer.writerow([n, repr(l2_norm(diff)), repr(h1_seminorm(diff)), "ok"])
 
 

@@ -5,7 +5,6 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from qlsplit import (
-    Field,
     Gaussian,
     GridSpec,
     ModelSpec,
@@ -23,10 +22,10 @@ from conftest import random_field, spectral_derivative, spectrum
 
 class TestMass:
     def test_zero(self, grid):
-        assert mass(Field(grid, np.zeros(grid.n_points))) == 0.0
+        assert mass(np.zeros(grid.n_points)) == 0.0
 
     def test_unit_plane_wave(self, grid):
-        f = Field(grid, np.exp(3j * grid.nodes))
+        f = np.exp(3j * grid.nodes)
         assert mass(f) == pytest.approx(2 * np.pi, rel=1e-13)
 
     def test_gaussian_against_quadrature(self):
@@ -41,7 +40,7 @@ class TestMass:
 
     def test_mass_equals_l2_squared(self, grid):
         rng = np.random.default_rng(0)
-        f = Field(grid, rng.standard_normal(grid.n_points) * (1 + 0.5j))
+        f = rng.standard_normal(grid.n_points) * (1 + 0.5j)
         # one Parseval sum: the L2 norm is the root of the mass, bit for bit
         assert l2_norm(f) == np.sqrt(mass(f))
 
@@ -51,18 +50,18 @@ PSEUDO = ModelSpec.pseudo_attractive()
 
 class TestEnergy:
     def test_zero(self, grid):
-        assert energy(Field(grid, np.zeros(grid.n_points)), PSEUDO) == 0.0
+        assert energy(np.zeros(grid.n_points), PSEUDO) == 0.0
 
     @pytest.mark.parametrize("a,k", [(1.0, 1), (0.5, 3), (1.2, -2)])
     def test_plane_wave_closed_form(self, a, k):
         # pi a^2 k^2 + (pi/2) a^4; the quasilinear term vanishes
         g = GridSpec(64)
-        f = Field(g, a * np.exp(1j * k * g.nodes))
+        f = a * np.exp(1j * k * g.nodes)
         expected = np.pi * a**2 * k**2 + 0.5 * np.pi * a**4
         assert energy(f, PSEUDO) == pytest.approx(expected, abs=1e-10)
 
     def test_unit_plane_wave_value(self, grid):
-        f = Field(grid, np.exp(1j * grid.nodes))
+        f = np.exp(1j * grid.nodes)
         assert energy(f, PSEUDO) == pytest.approx(np.pi + np.pi / 2, abs=1e-10)
 
     def test_steep_gradient_drives_energy_negative(self):
@@ -79,11 +78,11 @@ class TestEnergy:
 
     def test_cubic_model_drops_quasilinear_term(self, grid):
         rng = np.random.default_rng(1)
-        f = Field(grid, rng.standard_normal(grid.n_points).astype(complex))
+        f = rng.standard_normal(grid.n_points).astype(complex)
         e_cubic = energy(f, ModelSpec.cubic_nls())
-        ux = spectral_derivative(f, 1).values
+        ux = spectral_derivative(f, 1)
         w = 2 * np.pi / grid.n_points
-        s = np.abs(f.values) ** 2
+        s = np.abs(f) ** 2
         expected = 0.5 * w * np.sum(np.abs(ux) ** 2) + 0.25 * w * np.sum(s**2)
         assert e_cubic == pytest.approx(expected, rel=1e-12)
 
@@ -96,13 +95,13 @@ def coefficient_mass(f):
 
 def derivative_energy(f, model):
     """The energy from spectral derivatives on the nodes, trapezoidal sums."""
-    w = 2.0 * np.pi / f.grid.n_points
-    ux = spectral_derivative(f, 1).values
-    s = f.values.real**2 + f.values.imag**2
+    w = 2.0 * np.pi / len(f)
+    ux = spectral_derivative(f, 1)
+    s = f.real**2 + f.imag**2
     e = 0.5 * w * float(np.sum(ux.real**2 + ux.imag**2))
     e += 0.5 * w * float(np.sum(P.polyval(s, P.polyint(model.f_coeffs))))
     if model.quasilinear_sign != 0:
-        gx = spectral_derivative(Field(f.grid, P.polyval(s, model.g_coeffs)), 1).values.real
+        gx = spectral_derivative(P.polyval(s, model.g_coeffs), 1).real
         e -= model.quasilinear_sign * 0.25 * w * float(np.sum(gx**2))
     return e
 
@@ -118,13 +117,12 @@ class TestParsevalMatchesDerivatives:
     @pytest.mark.parametrize("n", [64, 256, 4096])
     def test_within_roundoff(self, n, kind):
         g = GridSpec(n)
-        values = {
-            "rough": random_field(g, np.random.default_rng(n), scale=0.5).values,
+        f = {
+            "rough": random_field(g, np.random.default_rng(n), scale=0.5),
             "plane-wave": 0.8 * np.exp(5j * g.nodes),
             "zero": np.zeros(n),
             "nyquist": 0.6 * np.exp(-0.5j * n * g.nodes),
         }[kind]
-        f = Field(g, values)
         old_mass = coefficient_mass(f)
         pairs = [
             (mass(f), old_mass),
@@ -138,21 +136,19 @@ class TestParsevalMatchesDerivatives:
 
 class TestErrorNorms:
     def test_identical_fields(self, grid):
-        f = Field(grid, np.exp(1j * grid.nodes))
+        f = np.exp(1j * grid.nodes)
         assert error_norms(f, f) == (0.0, 0.0)
 
     def test_single_mode_difference(self, grid):
-        base = Field(grid, np.exp(1j * grid.nodes))
-        shifted = Field(grid, base.values + 1e-3 * np.exp(5j * grid.nodes))
+        base = np.exp(1j * grid.nodes)
+        shifted = base + 1e-3 * np.exp(5j * grid.nodes)
         err_l2, err_h1 = error_norms(shifted, base)
         assert err_l2 == pytest.approx(1e-3 * np.sqrt(2 * np.pi), rel=1e-12)
         assert err_h1 == pytest.approx(5e-3 * np.sqrt(2 * np.pi), rel=1e-12)
 
     def test_grid_mismatch_rejected(self):
-        f = Field(GridSpec(64), np.zeros(64))
-        g = Field(GridSpec(128), np.zeros(128))
         with pytest.raises(ValueError, match="grid mismatch"):
-            error_norms(f, g)
+            error_norms(np.zeros(64), np.zeros(128))
 
 
 class TestFitOrder:
@@ -189,13 +185,17 @@ class TestFitOrder:
                 fit_order(taus, err_l2, err_h1)
 
     def test_rows_must_increase(self):
-        # n_steps increasing is tau decreasing; a repeated tau fails too
-        for taus in ([0.05, 0.1, 0.025], [0.1, 0.05, 0.05]):
+        # n_steps increasing is tau decreasing; a repeated tau fails too, and
+        # so does a step that is not finite and positive
+        for taus in ([0.05, 0.1, 0.025], [0.1, 0.05, 0.05], [np.inf, 1.0, 0.5],
+                     [-1.0, -2.0, -3.0], [0.1, 0.0, -0.1]):
             with pytest.raises(ValueError, match="step sizes"):
                 fit_order(taus, [1e-3, 1e-4, 1e-5], [1e-3, 1e-4, 1e-5])
 
     def test_errors_must_be_positive(self):
         for err_l2, err_h1 in [([1e-3, 0.0, 1e-5], [1e-3, 1e-4, 1e-5]),
-                               ([1e-3, 1e-4, 1e-5], [1e-3, np.nan, 1e-5])]:
+                               ([1e-3, 1e-4, 1e-5], [1e-3, np.nan, 1e-5]),
+                               ([1e-2, 2.5e-3, np.inf], [1e-3, 1e-4, 1e-5]),
+                               ([1e-3, 1e-4, 1e-5], [1e-3, 1e-4, -np.inf])]:
             with pytest.raises(ValueError, match="positive"):
                 fit_order([0.1, 0.05, 0.025], err_l2, err_h1)

@@ -15,7 +15,6 @@ LIBRARY_MODULES = (diagnostics, model, spectral, splitting, stability)
 # the whole public API: an addition or a removal shows here as a diff
 PUBLIC_NAMES = [
     "BlowupReport",
-    "Field",
     "Gaussian",
     "GridSpec",
     "InitialCondition",

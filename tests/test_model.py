@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qlsplit import (
-    Field,
     Gaussian,
     GridSpec,
     ModelSpec,
@@ -22,10 +21,10 @@ from qlsplit.splitting import _StepKernel
 from conftest import spectral_derivative, spectrum
 
 
-def potential(model, f):
-    """The model potential of the field f, as the step's kick evaluates it."""
-    s = f.values.real**2 + f.values.imag**2
-    return _StepKernel(f.grid, model, 1.0).potential(s)
+def potential(model, u):
+    """The model potential of the state u, as the step's kick evaluates it."""
+    s = u.real**2 + u.imag**2
+    return _StepKernel(GridSpec(len(u)), model, 1.0).potential(s)
 
 
 def pde_residual(model, a, k, grid):
@@ -37,8 +36,8 @@ def pde_residual(model, a, k, grid):
     """
     u = exact_plane_wave(a, k, 0.0, grid)
     omega = k * k + a * a
-    rhs = -spectral_derivative(u, 2).values + potential(model, u) * u.values
-    return l2_norm(Field(grid, rhs - omega * u.values))
+    rhs = -spectral_derivative(u, 2) + potential(model, u) * u
+    return l2_norm(rhs - omega * u)
 
 
 def initial_min_ellipticity(ic, grid):
@@ -67,10 +66,17 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(quasilinear_sign=sign)
 
+    @pytest.mark.parametrize("name", ["f_coeffs", "g_coeffs"])
+    @pytest.mark.parametrize("coeffs", [(), (np.nan, 1.0), (0.0, np.inf), (-np.inf,)])
+    def test_coefficients_validated(self, name, coeffs):
+        # an empty f used to fail inside energy, a NaN one as a blow-up at t > 0
+        with pytest.raises(ValueError, match=name):
+            ModelSpec(**{name: coeffs})
+
 
 class TestPotentialField:
     def test_zero_field(self, grid):
-        v = potential(ModelSpec.pseudo_attractive(), Field(grid, np.zeros(grid.n_points)))
+        v = potential(ModelSpec.pseudo_attractive(), np.zeros(grid.n_points))
         assert np.all(v == 0)
 
     @pytest.mark.parametrize(
@@ -78,7 +84,7 @@ class TestPotentialField:
     )
     def test_constant_modulus_gives_f_of_a_squared(self, grid, model):
         a = 0.8
-        f = Field(grid, a * np.exp(5j * grid.nodes))
+        f = a * np.exp(5j * grid.nodes)
         v = potential(model, f)
         assert np.allclose(v, a**2, atol=1e-12)
 
@@ -86,7 +92,7 @@ class TestPotentialField:
         # |1 + 0.1 cos x|^2 = 1.005 + 0.2 cos x + 0.005 cos 2x, so
         # V = s + s'' = 1.005 - 0.015 cos 2x and V(0) = 0.99
         u = (1.0 + 0.1 * np.cos(grid.nodes)).astype(complex)
-        v = potential(ModelSpec.pseudo_attractive(), Field(grid, u))
+        v = potential(ModelSpec.pseudo_attractive(), u)
         expected = 1.005 - 0.015 * np.cos(2 * grid.nodes)
         assert np.allclose(v, expected, atol=1e-12)
         x0 = np.argmin(np.abs(grid.nodes))
@@ -95,21 +101,21 @@ class TestPotentialField:
     def test_real_output(self, grid):
         rng = np.random.default_rng(3)
         u = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
-        v = potential(ModelSpec.pseudo_attractive(), Field(grid, u))
+        v = potential(ModelSpec.pseudo_attractive(), u)
         assert v.dtype == np.float64
 
 
 class TestExactPlaneWave:
     def test_initial_time(self, grid):
         f = exact_plane_wave(0.5, 3, 0.0, grid)
-        assert np.allclose(f.values, 0.5 * np.exp(3j * grid.nodes), atol=1e-14)
+        assert np.allclose(f, 0.5 * np.exp(3j * grid.nodes), atol=1e-14)
 
     def test_dispersion_relation(self, grid):
         # omega = k^2 + a^2: at a=1, k=1 the phase advances by omega*t = 2t
         t = 0.25
         f = exact_plane_wave(1.0, 1, t, grid)
         expected = np.exp(1j * (grid.nodes - 2.0 * t))
-        assert np.allclose(f.values, expected, atol=1e-14)
+        assert np.allclose(f, expected, atol=1e-14)
 
     @pytest.mark.parametrize("a,k", [(0.3, 1), (0.7, 3), (1.1, -5), (0.5, 15)])
     def test_discrete_pde_residual(self, a, k):
@@ -125,24 +131,30 @@ class TestExactPlaneWave:
     def test_unrepresentable_wavenumber(self, grid):
         with pytest.raises(ValueError):
             exact_plane_wave(1.0, grid.n_points // 2, 0.0, grid)
+        # a non-integral wavenumber is not periodic on the grid
+        for k in (1.5, np.float64(-0.25), np.nan):
+            with pytest.raises(ValueError):
+                exact_plane_wave(0.5, k, 0.0, grid)
+        assert np.array_equal(exact_plane_wave(0.5, np.int64(3), 0.0, grid),
+                              exact_plane_wave(0.5, 3, 0.0, grid))
 
 
 class TestInitialConditions:
     def test_gaussian_peak(self):
         grid = GridSpec(256)
         f = build_initial_condition(Gaussian(0.2, 0.2), grid)
-        assert np.abs(f.values).max() == pytest.approx(0.2, rel=1e-12)
-        assert grid.nodes[np.argmax(np.abs(f.values))] == pytest.approx(0.0, abs=1e-14)
+        assert np.abs(f).max() == pytest.approx(0.2, rel=1e-12)
+        assert grid.nodes[np.argmax(np.abs(f))] == pytest.approx(0.0, abs=1e-14)
 
     def test_multimode_constructive_interference(self):
         grid = GridSpec(256)
         f = build_initial_condition(MultiMode(0.65, (2, 8)), grid)
-        assert np.abs(f.values).max() == pytest.approx(1.3, rel=1e-12)
+        assert np.abs(f).max() == pytest.approx(1.3, rel=1e-12)
 
     def test_plane_wave_constant_modulus(self, grid):
         a = np.sqrt(2) / 2 + 1e-8
         f = build_initial_condition(PlaneWave(a, 1), grid)
-        assert np.allclose(np.abs(f.values), a, atol=1e-14)
+        assert np.allclose(np.abs(f), a, atol=1e-14)
 
     def test_perturbation_seeds_one_mode(self, grid):
         pert = Perturbation(mode=5, amplitude=1e-6)
@@ -167,18 +179,26 @@ class TestInitialConditions:
             build_initial_condition(
                 PlaneWave(0.5, 1, perturbation=Perturbation(mode=grid.n_points)), grid
             )
+        # wavenumbers are integers; numpy integers are integers too
+        for ic in (PlaneWave(0.5, 1.5), PlaneWave(0.5, 1, perturbation=Perturbation(2.5))):
+            with pytest.raises(ValueError, match="integer"):
+                build_initial_condition(ic, grid)
+        with pytest.raises(ValueError, match="integers"):
+            MultiMode(0.3, (1.5, 2.7))
+        assert MultiMode(0.3, np.array([1, 2])).wavenumbers == (1, 2)
+        assert type(MultiMode(0.3, (np.int64(1),)).wavenumbers[0]) is int
 
     def test_gaussian_wraparound_negligible_for_narrow_widths(self):
         # sampling the non-periodized Gaussian: tail at the domain edge
         grid = GridSpec(256)
         f = build_initial_condition(Gaussian(1.0, 0.2), grid)
-        edge = np.abs(f.values[0])
+        edge = np.abs(f[0])
         assert edge < 1e-9
 
 
 class TestEllipticityIndicator:
     def test_zero_field(self, grid):
-        assert initial_min_ellipticity(Field(grid, np.zeros(grid.n_points)), grid) == 1.0
+        assert initial_min_ellipticity(np.zeros(grid.n_points), grid) == 1.0
 
     def test_threshold_plane_wave(self, grid):
         mn = initial_min_ellipticity(PlaneWave(np.sqrt(2) / 2, 1), grid)

@@ -7,13 +7,13 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from qlsplit import (
-    Field,
     Gaussian,
     GridSpec,
     ModelSpec,
     MultiMode,
     Perturbation,
     StepperConfig,
+    build_initial_condition,
     exact_plane_wave,
     l2_norm,
     mass,
@@ -88,14 +88,15 @@ def reference_states(model, u0, tau, n_steps, mollify_eps=None,
     the run kernel's potential; with ``complex_potential`` it is the
     complex-FFT loop that runs must stay near within roundoff.
     """
-    half_kick = np.exp(-1j * u0.grid.wavenumbers.astype(np.float64) ** 2 * (tau / 2.0))
-    weights = reference_weights(u0.grid, mollify_eps, dealias)
-    f_raw = np.fft.fft(u0.values)
+    grid = GridSpec(len(u0))
+    half_kick = np.exp(-1j * grid.wavenumbers.astype(np.float64) ** 2 * (tau / 2.0))
+    weights = reference_weights(grid, mollify_eps, dealias)
+    f_raw = np.fft.fft(u0)
     states = []
     for _ in range(n_steps):
         u_mid = np.fft.ifft(f_raw * half_kick)
         s = u_mid.real**2 + u_mid.imag**2
-        u_mid *= np.exp(-1j * tau * potential(model, s, u0.grid, weights))
+        u_mid *= np.exp(-1j * tau * potential(model, s, grid, weights))
         f_raw = np.fft.fft(u_mid)
         if weights is not None:
             f_raw *= weights
@@ -112,13 +113,13 @@ class TestNonlinearPhaseStep:
     def test_zero_tau_is_identity(self, grid):
         f = random_field(grid, np.random.default_rng(0))
         out = nonlinear_phase_step(MODEL, f, 0.0)
-        assert np.allclose(out.values, f.values, atol=1e-15)
+        assert np.allclose(out, f, atol=1e-15)
 
     def test_plane_wave_global_phase(self, grid):
         a, tau = 0.8, 0.05
-        f = Field(grid, a * np.exp(2j * grid.nodes))
+        f = a * np.exp(2j * grid.nodes)
         out = nonlinear_phase_step(MODEL, f, tau)
-        assert np.allclose(out.values, f.values * np.exp(-1j * tau * a**2), atol=1e-14)
+        assert np.allclose(out, f * np.exp(-1j * tau * a**2), atol=1e-14)
 
     def test_nodewise_modulus_conserved(self, grid):
         # the defining property of the nonlinear sub-flow
@@ -126,18 +127,19 @@ class TestNonlinearPhaseStep:
         for tau in [1e-3, 0.1, 2.0]:
             f = random_field(grid, rng)
             out = nonlinear_phase_step(MODEL, f, tau)
-            dev = np.abs(np.abs(out.values) - np.abs(f.values))
+            dev = np.abs(np.abs(out) - np.abs(f))
             assert dev.max() < 1e-15
 
     def test_mollified_potential(self, grid):
         f = random_field(grid, np.random.default_rng(2))
         plain = nonlinear_phase_step(MODEL, f, 0.1)
         moll = nonlinear_phase_step(MODEL, f, 0.1, mollify_eps=0.3)
-        assert not np.allclose(plain.values, moll.values)
-        dev = np.abs(np.abs(moll.values) - np.abs(f.values))
+        assert not np.allclose(plain, moll)
+        dev = np.abs(np.abs(moll) - np.abs(f))
         assert dev.max() < 1e-15
-        for eps in (0.0, -0.3):
-            with pytest.raises(ValueError, match="mollifier eps must be positive"):
+        # the rule StepperConfig applies: inf used to keep only the mean mode
+        for eps in (0.0, -0.3, np.nan, np.inf):
+            with pytest.raises(ValueError, match="mollify_eps must be finite and positive"):
                 nonlinear_phase_step(MODEL, f, 0.1, mollify_eps=eps)
 
     @pytest.mark.parametrize("mollify_eps", [None, 0.05, 0.3])
@@ -151,8 +153,8 @@ class TestNonlinearPhaseStep:
             s = u.real**2 + u.imag**2
             v = reference_potential(model, s, grid, reference_weights(grid, mollify_eps))
             for tau in (1e-4, 1e-2, 0.5):
-                out = nonlinear_phase_step(model, Field(grid, u), tau, mollify_eps)
-                assert np.array_equal(out.values, u * np.exp(-1j * tau * v))
+                out = nonlinear_phase_step(model, u, tau, mollify_eps)
+                assert np.array_equal(out, u * np.exp(-1j * tau * v))
 
 
 class TestRealFFTPotential:
@@ -192,13 +194,13 @@ class TestRealFFTPotential:
         # amplified; at tau = 1e-3 (4.1) the plain run drifts 1.5e-4 apart
         grid = GridSpec(128)
         tau, n_steps = 5e-4, 300
-        u0 = Field(grid, 0.5 * np.exp(-grid.nodes**2 / (2 * 0.3**2))
-                   * np.exp(1j * np.cos(grid.nodes)))
+        u0 = (0.5 * np.exp(-grid.nodes**2 / (2 * 0.3**2))
+              * np.exp(1j * np.cos(grid.nodes)))
         cfg = StepperConfig(tau=tau, record_every=n_steps, **filters)
         rec = run_simulation(model, u0, grid, cfg, tau * n_steps)
         ref = reference_states(model, u0, tau, n_steps, potential=complex_potential,
                                **filters)
-        assert np.abs(rec.final_field.values - ref[-1]).max() < 1e-13
+        assert np.abs(rec.final_field - ref[-1]).max() < 1e-13
 
     @pytest.mark.parametrize("model, factor", [
         (MODEL, lambda n: 1 - n**2 / 4),
@@ -244,20 +246,18 @@ class TestStrangStep:
         f = exact_plane_wave(a, k, 0.0, grid)
         out = one_step(MODEL, f, tau)
         expected = exact_plane_wave(a, k, tau, grid)
-        diff = Field(grid, out.values - expected.values)
-        assert l2_norm(diff) < 1e-12
+        assert l2_norm(out - expected) < 1e-12
 
     def test_zero_field(self, grid):
-        out = one_step(MODEL, Field(grid, np.zeros(grid.n_points)), 0.01)
-        assert np.all(out.values == 0)
+        out = one_step(MODEL, np.zeros(grid.n_points), 0.01)
+        assert np.all(out == 0)
 
     def test_reversibility(self):
         grid = GridSpec(256)
-        f = Field(grid, 0.2 * np.exp(-grid.nodes**2 / (2 * 0.2**2)))
+        f = 0.2 * np.exp(-grid.nodes**2 / (2 * 0.2**2))
         fwd = one_step(MODEL, f, 1e-3)
         back = one_step(MODEL, fwd, -1e-3)
-        diff = Field(grid, back.values - f.values)
-        assert l2_norm(diff) < 1e-11
+        assert l2_norm(back - f) < 1e-11
 
     def test_mass_conserved_per_step_without_filters(self, grid):
         rng = np.random.default_rng(3)
@@ -289,7 +289,7 @@ class TestStrangStep:
         assert np.max(np.abs(c[beyond])) < 1e-15
 
     def test_krasny_step_floors_small_modes(self, grid):
-        f = Field(grid, np.exp(1j * grid.nodes) + 1e-9 * np.exp(5j * grid.nodes))
+        f = np.exp(1j * grid.nodes) + 1e-9 * np.exp(5j * grid.nodes)
         out = one_step(MODEL, f, 1e-3, krasny_delta=1e-6)
         c = np.abs(spectrum(out))
         idx = {k: i for i, k in enumerate(grid.wavenumbers)}
@@ -343,7 +343,7 @@ class TestRunSimulation:
 
     def test_rejects_nonfinite_initial_data(self, grid):
         cfg = StepperConfig(tau=1e-3)
-        bad = Field(grid, np.full(grid.n_points, np.nan + 0j))
+        bad = np.full(grid.n_points, np.nan + 0j)
         with pytest.raises(ValueError, match="non-finite"):
             run_simulation(MODEL, bad, grid, cfg, 0.01)
 
@@ -365,7 +365,26 @@ class TestRunSimulation:
         assert len(rec.snapshots) == 2
         assert rec.snapshots[0][0] == 0.0
         assert rec.snapshots[1][0] == pytest.approx(0.01)
-        assert rec.snapshots[1][1].grid.n_points == 64
+        assert rec.snapshots[1][1].shape == (64,)
+
+    def test_initial_array_not_aliased(self, grid):
+        # the run copies the caller's array once; later writes to it reach
+        # neither the t = 0 snapshot nor any record
+        u0 = build_initial_condition(Gaussian(0.2, 0.5), grid)
+        cfg = StepperConfig(tau=1e-3, record_every=5, snapshot_times=(0.0,))
+        want = run_simulation(MODEL, u0.copy(), grid, cfg, 0.01)
+        rec = run_simulation(MODEL, u0, grid, cfg, 0.01)
+        saved = u0.copy()
+        u0[:] = 7.0
+        assert np.array_equal(rec.snapshots[0][1], saved)
+        for name in ("times", "max_amplitude", "mass", "energy", "final_field"):
+            assert np.array_equal(getattr(rec, name), getattr(want, name))
+
+    def test_initial_array_must_fit_the_grid(self, grid):
+        cfg = StepperConfig(tau=1e-3)
+        for shape in [(grid.n_points // 2,), (2, grid.n_points)]:
+            with pytest.raises(ValueError, match="does not fit GridSpec"):
+                run_simulation(MODEL, np.zeros(shape, dtype=complex), grid, cfg, 0.01)
 
     def test_snapshot_time_off_the_step_grid_rejected(self):
         grid = GridSpec(64)
@@ -406,17 +425,17 @@ class TestRunSimulation:
         cfg = StepperConfig(tau=1e-3, record_every=10)
         rec1 = run_simulation(MODEL, Gaussian(0.3, 0.3), grid, cfg, 0.05)
         rec2 = run_simulation(MODEL, Gaussian(0.3, 0.3), grid, cfg, 0.05)
-        assert np.array_equal(rec1.final_field.values, rec2.final_field.values)
+        assert np.array_equal(rec1.final_field, rec2.final_field)
         assert np.array_equal(rec1.energy, rec2.energy)
 
     def test_matches_repeated_strang_steps(self):
         grid = GridSpec(64)
         cfg = StepperConfig(tau=2e-3, record_every=100)
         rec = run_simulation(MODEL, Gaussian(0.3, 0.4), grid, cfg, 0.01)
-        f = one_step(MODEL, Field(grid, 0.3 * np.exp(-grid.nodes**2 / (2 * 0.4**2))), 2e-3)
+        f = one_step(MODEL, 0.3 * np.exp(-grid.nodes**2 / (2 * 0.4**2)), 2e-3)
         for _ in range(4):
             f = one_step(MODEL, f, 2e-3)
-        assert np.allclose(rec.final_field.values, f.values, atol=1e-13)
+        assert np.allclose(rec.final_field, f, atol=1e-13)
 
 
 FUSED_CASES = pytest.mark.parametrize(
@@ -441,19 +460,19 @@ class TestFusedLoopMatchesReference:
     def test_bit_for_bit(self, model, filters, tau=1e-3):
         grid = GridSpec(128)
         n_steps = 300
-        u0 = Field(grid, 0.5 * np.exp(-grid.nodes**2 / (2 * 0.3**2))
-                   * np.exp(1j * np.cos(grid.nodes)))
+        u0 = (0.5 * np.exp(-grid.nodes**2 / (2 * 0.3**2))
+              * np.exp(1j * np.cos(grid.nodes)))
         cfg = StepperConfig(
             tau=tau, record_every=70, snapshot_times=(0.0, 13 * tau, 200 * tau), **filters
         )
         rec = run_simulation(model, u0, grid, cfg, tau * n_steps)
         ref = reference_states(model, u0, tau, n_steps, **filters)
         assert not rec.blew_up
-        assert np.array_equal(rec.final_field.values, ref[-1])
+        assert np.array_equal(rec.final_field, ref[-1])
         assert [round(t / tau) for t, _ in rec.snapshots] == [0, 13, 200]
-        assert np.array_equal(rec.snapshots[0][1].values, u0.values)
-        assert np.array_equal(rec.snapshots[1][1].values, ref[12])
-        assert np.array_equal(rec.snapshots[2][1].values, ref[199])
+        assert np.array_equal(rec.snapshots[0][1], u0)
+        assert np.array_equal(rec.snapshots[1][1], ref[12])
+        assert np.array_equal(rec.snapshots[2][1], ref[199])
         rows = [round(t / tau) for t in rec.times]
         assert rows == [0, 70, 140, 210, 280, 300]
         amps = [np.abs(ref[n - 1]).max() for n in rows[1:]]
@@ -470,7 +489,7 @@ class TestFusedLoopMatchesReference:
         u0 = random_field(grid, np.random.default_rng(7), scale=0.5)
         out = one_step(MODEL, u0, 2e-3, krasny_delta=1e-4)
         ref = reference_states(MODEL, u0, 2e-3, 1, krasny_delta=1e-4)
-        assert np.array_equal(out.values, ref[0])
+        assert np.array_equal(out, ref[0])
 
 
 class TestPlanewaveDeviation:
@@ -487,12 +506,12 @@ class TestPlanewaveDeviation:
         modulus = a
         if perturbation is not None:
             modulus = a + perturbation.amplitude * np.cos((perturbation.mode - k) * grid.nodes)
-        u0 = Field(grid, modulus * np.exp(1j * k * grid.nodes))
-        energy0 = mass(Field(grid, u0.values - exact_plane_wave(a, k, 0.0, grid).values))
+        u0 = modulus * np.exp(1j * k * grid.nodes)
+        energy0 = mass(u0 - exact_plane_wave(a, k, 0.0, grid))
         max_dev, max_energy = 0.0, energy0
         for n, u in enumerate(reference_states(model, u0, tau, n_steps), start=1):
             exact = exact_plane_wave(a, k, n * tau, grid)
-            dev = l2_norm(Field(grid, u - exact.values))
+            dev = l2_norm(u - exact)
             max_dev = max(max_dev, dev)
             max_energy = max(max_energy, dev * dev)
         growth = max_energy / energy0 if energy0 > 0 else None
@@ -511,6 +530,15 @@ class TestPlanewaveDeviation:
         assert unperturbed == (math.inf, None)
         # the seed energy overflows too, so there is no growth to read
         assert seeded == (math.inf, None)
+
+    def test_rejects_bad_steps(self):
+        # zero or negative n_steps used to read a growth of 1 from no march,
+        # and a NaN tau (inf, inf)
+        grid = GridSpec(64)
+        for tau, n_steps in [(1e-3, 0), (1e-3, -5), (np.nan, 5), (-1e-3, 5), (np.inf, 5)]:
+            with pytest.raises(ValueError, match="tau|n_steps"):
+                planewave_deviation(0.5, 1, tau, n_steps, grid, MODEL,
+                                    Perturbation(mode=3, amplitude=1e-6))
 
     @pytest.mark.parametrize("k", [0, 1, -3])
     def test_rejects_perturbation_mode_at_the_carrier(self, k):

@@ -311,5 +311,7 @@ class TestSplitStepModeGrowth:
                 assert parts(plus[i, j], minus[i, j]) == parts(*scalar[i][j]), (w[i], k[j])
 
     def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ValueError):
-            split_step_mode_growth(1.0, 0.0, 4)
+        # NaN used to return a NaN pair and inf a pair nan +/- inf j
+        for tau in (0.0, -1e-3, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tau must be finite and positive"):
+                split_step_mode_growth(1.0, tau, 4)
