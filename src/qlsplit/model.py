@@ -111,22 +111,23 @@ class MultiMode:
     perturbation: Perturbation | None = None
 
     def __post_init__(self) -> None:
-        ks = tuple(int(k) for k in self.wavenumbers)
+        ks = tuple(self.wavenumbers)
         if len(ks) == 0:
             raise ValueError("MultiMode requires at least one wavenumber")
-        if ks != tuple(self.wavenumbers) or min(ks) < 0 or list(ks) != sorted(set(ks)):
+        # int(k) runs only on a finite k, so inf and NaN fail as ValueError
+        if not all(0 <= k < np.inf and k == int(k) for k in ks) or list(ks) != sorted(set(ks)):
             raise ValueError(
                 f"MultiMode wavenumbers must be distinct, nonnegative and "
-                f"ascending integers, got {self.wavenumbers}"
+                f"ascending integers, got {ks}"
             )
-        object.__setattr__(self, "wavenumbers", ks)
+        object.__setattr__(self, "wavenumbers", tuple(map(int, ks)))
 
 
 InitialCondition = Gaussian | PlaneWave | MultiMode
 
 
 def _check_mode(k: int, grid: GridSpec, what: str) -> None:
-    if k != int(k) or abs(int(k)) >= grid.n_points // 2:
+    if not (abs(k) < grid.n_points // 2 and k == int(k)):
         raise ValueError(
             f"{what} {k} is not representable on a grid with "
             f"{grid.n_points} points (need an integer |k| < N/2)"

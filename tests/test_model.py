@@ -132,7 +132,7 @@ class TestExactPlaneWave:
         with pytest.raises(ValueError):
             exact_plane_wave(1.0, grid.n_points // 2, 0.0, grid)
         # a non-integral wavenumber is not periodic on the grid
-        for k in (1.5, np.float64(-0.25), np.nan):
+        for k in (1.5, np.float64(-0.25), np.nan, np.inf):
             with pytest.raises(ValueError):
                 exact_plane_wave(0.5, k, 0.0, grid)
         assert np.array_equal(exact_plane_wave(0.5, np.int64(3), 0.0, grid),
@@ -183,8 +183,9 @@ class TestInitialConditions:
         for ic in (PlaneWave(0.5, 1.5), PlaneWave(0.5, 1, perturbation=Perturbation(2.5))):
             with pytest.raises(ValueError, match="integer"):
                 build_initial_condition(ic, grid)
-        with pytest.raises(ValueError, match="integers"):
-            MultiMode(0.3, (1.5, 2.7))
+        for ks in [(1.5, 2.7), (1, np.nan), (np.inf,)]:
+            with pytest.raises(ValueError, match="integers"):
+                MultiMode(0.3, ks)
         assert MultiMode(0.3, np.array([1, 2])).wavenumbers == (1, 2)
         assert type(MultiMode(0.3, (np.int64(1),)).wavenumbers[0]) is int
 
