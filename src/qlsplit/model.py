@@ -11,12 +11,11 @@ superfluid thin-film model, ``-1`` the superfluid thin-film model and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
-from .spectral import GridSpec
+from .spectral import GridSpec, _check_positive
 
 __all__ = [
     "ModelSpec",
@@ -34,14 +33,12 @@ class ModelSpec:
     """Nonlinearity selection for the quasilinear Schrodinger family.
 
     ``f_coeffs`` and ``g_coeffs`` are polynomial coefficients in s = |u|^2,
-    ascending order, each nonempty and finite.  ``gprime_coeffs`` is not an
-    input: it is always the exact derivative of g, ``(0.0,)`` for a constant g.
+    ascending order, each nonempty and finite.
     """
 
     f_coeffs: tuple[float, ...] = (0.0, 1.0)
     g_coeffs: tuple[float, ...] = (0.0, 1.0)
     quasilinear_sign: int = +1
-    gprime_coeffs: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.quasilinear_sign not in (-1, 0, 1):
@@ -53,8 +50,6 @@ class ModelSpec:
             if not (coeffs and np.isfinite(coeffs).all()):
                 raise ValueError(f"{name} must be nonempty and finite, got {coeffs}")
             object.__setattr__(self, name, coeffs)
-        derived = tuple(float(c) for c in P.polyder(self.g_coeffs))
-        object.__setattr__(self, "gprime_coeffs", derived or (0.0,))
 
     @classmethod
     def pseudo_attractive(cls) -> "ModelSpec":
@@ -89,8 +84,7 @@ class Gaussian:
     perturbation: Perturbation | None = None
 
     def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise ValueError(f"Gaussian width must be positive, got {self.width}")
+        _check_positive("Gaussian width", self.width)
 
 
 @dataclass(frozen=True)
@@ -147,8 +141,7 @@ def build_initial_condition(ic: InitialCondition, grid: GridSpec) -> np.ndarray:
     if isinstance(ic, Gaussian):
         u = ic.amplitude * np.exp(-(x**2) / (2.0 * ic.width**2)).astype(complex)
     elif isinstance(ic, PlaneWave):
-        _check_mode(ic.wavenumber, grid, "plane-wave wavenumber")
-        u = ic.amplitude * np.exp(1j * ic.wavenumber * x)
+        u = ic.amplitude * exact_plane_wave(1.0, ic.wavenumber, 0.0, grid)
     elif isinstance(ic, MultiMode):
         for k in ic.wavenumbers:
             _check_mode(k, grid, "multi-mode wavenumber")

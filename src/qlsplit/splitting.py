@@ -147,6 +147,7 @@ class _StepKernel:
         dealias: bool = False,
     ) -> None:
         self.model = model
+        self._gprime = P.polyder(model.g_coeffs)
         self.tau = tau
         n = grid.n_points
         self.neg_k2 = -grid._k_squared[: n // 2 + 1]  # rfft half spectrum, Nyquist kept
@@ -173,7 +174,7 @@ class _StepKernel:
             v = P.polyval(s, m.f_coeffs)
             if m.quasilinear_sign != 0:
                 lap = np.fft.irfft(self.neg_k2 * np.fft.rfft(P.polyval(s, m.g_coeffs)), len(s))
-                v = v + m.quasilinear_sign * P.polyval(s, m.gprime_coeffs) * lap
+                v = v + m.quasilinear_sign * P.polyval(s, self._gprime) * lap
         if self._v_mult is not None:
             v = np.fft.irfft(self._v_mult * np.fft.rfft(v), len(s))
         return v
@@ -231,7 +232,10 @@ def nonlinear_phase_step(
     The potential V is frozen at the input amplitude (which the flow itself
     conserves nodewise), so the map is a pure pointwise phase rotation.
     With ``mollify_eps`` set, the frequency cutoff is applied to V.
+    ``tau`` must be finite; zero and negative steps are valid.
     """
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     s = u.real**2 + u.imag**2
     kernel = _StepKernel(_grid(u), model, tau, mollify_eps)
     return u * kernel.phase(s)
@@ -358,7 +362,7 @@ def run_simulation(
                 ):
                     trigger = "energy"
             if n in snap_steps:
-                snapshots.append((t, u))
+                snapshots.append((t, u.copy()))  # u may be the final field
             if trigger is not None:
                 blowup = BlowupReport(onset_time=t, trigger=trigger)
                 break
@@ -406,7 +410,6 @@ def planewave_deviation(
     if not n_steps >= 1:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps}")
     exact0 = exact_plane_wave(a, k, 0.0, grid)
-    x = grid.nodes
     modulus = a
     if perturbation is not None:
         m = perturbation.mode
@@ -415,8 +418,8 @@ def planewave_deviation(
                              "it seeds no sideband")
         _check_mode(m, grid, "perturbation mode")
         _check_mode(2 * k - m, grid, "perturbation partner mode 2k - m")
-        modulus = a + perturbation.amplitude * np.cos((m - k) * x)
-    u0 = modulus * np.exp(1j * k * x)
+        modulus = a + perturbation.amplitude * np.cos((m - k) * grid.nodes)
+    u0 = modulus * exact_plane_wave(1.0, k, 0.0, grid)
     energy0 = diagnostics.mass(u0 - exact0)
 
     max_dev = 0.0

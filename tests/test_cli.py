@@ -267,6 +267,8 @@ PLANE_WAVE_200 = [*PLANE_WAVE, "--n-steps", "200", "--t-final", "0.2"]
                  id="nan-mollify-eps"),
     pytest.param(["simulate", "--n-steps", "10", "--t-final", "inf"], None,
                  id="simulate-inf-t-final"),
+    pytest.param(["simulate", "--n-steps", "10", "--t-final", "-1"], None,
+                 id="simulate-negative-t-final"),
     pytest.param(["simulate", "--n-steps", "10", "--t-final", "nan"], None,
                  id="simulate-nan-t-final"),
     pytest.param([*PLANE_WAVE, "--t-final", "inf"], None, id="planewave-inf-t-final"),

@@ -8,7 +8,7 @@ import types
 from pathlib import Path
 
 import qlsplit
-from qlsplit import diagnostics, model, spectral, splitting, stability
+from qlsplit import cli, diagnostics, model, spectral, splitting, stability
 
 LIBRARY_MODULES = (diagnostics, model, spectral, splitting, stability)
 
@@ -81,14 +81,41 @@ def test_every_public_definition_is_exported():
         assert defined - set(module.__all__) == set(), module.__name__
 
 
-def test_every_benchmark_tracer_target_resolves():
-    # the benchmark's tracer wraps these module attributes; it imports only
-    # the standard library, so it loads here without the benchmark harness
+def load_spans():
+    """The benchmark's tracer module, loaded by path: it imports only the
+    standard library (numpy inside functions), so it loads without the
+    benchmark harness."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_benchmark_tracer_target_resolves():
+    # the benchmark's tracer wraps these module attributes
+    spans = load_spans()
     assert spans.TARGETS
     missing = [(module, attr) for module, attr, _ in spans.TARGETS
                if not hasattr(importlib.import_module(module), attr)]
     assert not missing
+
+
+def test_benchmark_tracer_wraps_a_run():
+    # the tracer's stepper wrapper takes run_simulation's first five
+    # parameters by position and reads times, blowup and blowup.trigger
+    params = list(inspect.signature(splitting.run_simulation).parameters)
+    assert params[:5] == ["model", "ic", "grid", "cfg", "t_final"]
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        rec = cli.run_simulation(
+            qlsplit.ModelSpec(), qlsplit.MultiMode(0.65, (2, 8)), qlsplit.GridSpec(64),
+            qlsplit.StepperConfig(tau=1e-4, blowup_factor=1.2), 0.05,
+        )
+    finally:
+        tracer.uninstall()
+    assert rec.blowup.trigger == "amplitude"
+    assert (tracer.runs, tracer.records) == (1, len(rec.times))
+    assert tracer.trips == {"amplitude": 1}
+    assert tracer.steps == round(rec.times[-1] / 1e-4) > 0

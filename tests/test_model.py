@@ -54,10 +54,7 @@ class TestModelSpec:
         assert ModelSpec.cubic_nls().quasilinear_sign == 0
 
     def test_gprime_derived_exactly(self):
-        m = ModelSpec(g_coeffs=(1.0, 0.0, 3.0, 2.0))  # 1 + 3 s^2 + 2 s^3
-        assert m.gprime_coeffs == (0.0, 6.0, 6.0)
-        assert ModelSpec(g_coeffs=(2.0,)).gprime_coeffs == (0.0,)
-        # g' is derived from g, never given
+        # g' is derived from g by the step kernel, never given
         with pytest.raises(TypeError):
             ModelSpec(gprime_coeffs=(1.0,))
 
@@ -165,8 +162,9 @@ class TestInitialConditions:
         assert c[idx[1]] == pytest.approx(0.5, rel=1e-12)
 
     def test_validation(self, grid):
-        with pytest.raises(ValueError):
-            Gaussian(0.2, -0.1)
+        for width in (-0.1, np.inf, np.nan):
+            with pytest.raises(ValueError, match="Gaussian width must be finite and positive"):
+                Gaussian(0.2, width)
         with pytest.raises(ValueError):
             MultiMode(0.5, (3, 2))
         with pytest.raises(ValueError):

@@ -52,7 +52,7 @@ def complex_potential(model, s, grid, weights=None):
     v = P.polyval(s, model.f_coeffs)
     if model.quasilinear_sign != 0:
         lap = np.fft.ifft(-k2 * np.fft.fft(P.polyval(s, model.g_coeffs))).real
-        v = v + model.quasilinear_sign * P.polyval(s, model.gprime_coeffs) * lap
+        v = v + model.quasilinear_sign * P.polyval(s, P.polyder(model.g_coeffs)) * lap
     if weights is not None:
         v = np.fft.ifft(weights * np.fft.fft(v)).real
     return v
@@ -74,7 +74,7 @@ def reference_potential(model, s, grid, weights=None):
         v, mult = P.polyval(s, model.f_coeffs), w
         if model.quasilinear_sign != 0:
             lap = np.fft.irfft(-k2 * np.fft.rfft(P.polyval(s, model.g_coeffs)), n)
-            v = v + model.quasilinear_sign * P.polyval(s, model.gprime_coeffs) * lap
+            v = v + model.quasilinear_sign * P.polyval(s, P.polyder(model.g_coeffs)) * lap
     if (mult != 1.0).any():
         v = np.fft.irfft(mult * np.fft.rfft(v), n)
     return v
@@ -114,6 +114,13 @@ class TestNonlinearPhaseStep:
         f = random_field(grid, np.random.default_rng(0))
         out = nonlinear_phase_step(MODEL, f, 0.0)
         assert np.allclose(out, f, atol=1e-15)
+
+    def test_rejects_nonfinite_tau(self, grid):
+        # zero and negative tau are valid steps; a non-finite one made NaNs
+        f = random_field(grid, np.random.default_rng(0))
+        for tau in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="tau must be finite"):
+                nonlinear_phase_step(MODEL, f, tau)
 
     def test_plane_wave_global_phase(self, grid):
         a, tau = 0.8, 0.05
@@ -162,8 +169,8 @@ class TestRealFFTPotential:
 
     @pytest.mark.parametrize("filters", FILTERS,
                              ids=["unfiltered", "mollify-0.05", "mollify-0.3", "dealias"])
-    @pytest.mark.parametrize("model", MODELS,
-                             ids=["plain", "thin-film", "cubic", "polynomial"])
+    @pytest.mark.parametrize("model", [*MODELS, ModelSpec(g_coeffs=(1, 0, 3, 2))],
+                             ids=["plain", "thin-film", "cubic", "polynomial", "cubic-g"])
     def test_matches_complex_fft_potential(self, model, filters):
         # the complex spelling filters an unfiltered V whose Laplacian
         # reaches (N/2)^2 max s, so both agree to roundoff of that scale
@@ -208,7 +215,10 @@ class TestRealFFTPotential:
         (ModelSpec.cubic_nls(), lambda n: 1),
         # g(s) = 2 s takes the polyval path: V = s + 4 s_xx
         (ModelSpec(g_coeffs=(0, 2)), lambda n: 1 - n**2),
-    ], ids=["plain", "thin-film", "cubic", "polynomial"])
+        # a constant g has g' = 0 and no quasilinear term: V = f(s) = s
+        (ModelSpec(g_coeffs=(2.0,)), lambda n: 1),
+        (ModelSpec(g_coeffs=(2.0,), quasilinear_sign=-1), lambda n: 1),
+    ], ids=["plain", "thin-film", "cubic", "polynomial", "constant-g", "constant-g-minus"])
     def test_laplacian_keeps_nyquist_mode(self, model, factor):
         # s_j = c + eps (-1)^j is the Nyquist mode N/2 on a constant; its
         # second derivative is -(N/2)^2 times it, not 0
@@ -337,7 +347,8 @@ class TestRunSimulation:
         cfg = StepperConfig(tau=1e-3)
         with pytest.raises(ValueError):
             run_simulation(MODEL, Gaussian(0.2, 0.5), grid, cfg, -1.0)
-        for t_final in (np.nan, np.inf):
+        # 1e-12 rounds to zero steps of tau
+        for t_final in (np.nan, np.inf, 1e-12):
             with pytest.raises(ValueError, match="t_final"):
                 run_simulation(MODEL, Gaussian(0.2, 0.5), grid, cfg, t_final)
 
@@ -379,6 +390,16 @@ class TestRunSimulation:
         assert np.array_equal(rec.snapshots[0][1], saved)
         for name in ("times", "max_amplitude", "mass", "energy", "final_field"):
             assert np.array_equal(getattr(rec, name), getattr(want, name))
+
+    def test_last_snapshot_is_not_the_final_field(self, grid):
+        cfg = StepperConfig(tau=1e-3, record_every=5, snapshot_times=(0.01,))
+        rec = run_simulation(MODEL, Gaussian(0.2, 0.5), grid, cfg, 0.01)
+        snap = rec.snapshots[-1][1]
+        assert np.array_equal(snap, rec.final_field)
+        assert not np.shares_memory(snap, rec.final_field)
+        saved = snap.copy()
+        rec.final_field[:] = 7.0
+        assert np.array_equal(snap, saved)
 
     def test_initial_array_must_fit_the_grid(self, grid):
         cfg = StepperConfig(tau=1e-3)
