@@ -23,8 +23,8 @@ seeds the modulus, (a + eps cos((m - k) x)) e^{ikx}, so m and its partner
 2k - m must be representable, and its L2 norm must be more than 100
 times the unperturbed march's max deviation.
 
-Exit codes: 0 success, 2 configuration error (any ValueError the library
-raises on the config's values is one, and so is an array too large to
+Exit codes: 0 success, 2 configuration error (a ValueError, from the rules
+here or from the library on the config's values, or an array too large to
 allocate), 3 blow-up guard halt or a non-finite planewave-check march,
 4 convergence reference-run failure.
 """
@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import inspect
 import json
 import math
 import os
@@ -57,14 +56,12 @@ from .spectral import GridSpec, h1_seminorm, l2_norm
 from .splitting import (
     SimulationRecord,
     StepperConfig,
-    _StepKernel,
     planewave_deviation,
     run_simulation,
 )
 from .stability import split_step_mode_growth, stability_threshold_scan
 
 __all__ = [
-    "ConfigError",
     "ExperimentConfig",
     "parse_config",
     "cmd_simulate",
@@ -91,10 +88,6 @@ _IC_KINDS = {
     "plane_wave": (PlaneWave, "wavenumber"),
     "multi_mode": (MultiMode, "wavenumbers"),
 }
-
-
-class ConfigError(ValueError):
-    """Invalid or inconsistent experiment configuration."""
 
 
 @dataclass(frozen=True)
@@ -136,9 +129,6 @@ class ExperimentConfig:
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 # every StepperConfig field but the step is the config field of that name
 _STEPPER_FIELDS = [f.name for f in dataclasses.fields(StepperConfig) if f.name != "tau"]
-# the spectral filters are the step kernel's optional arguments
-_FILTERS = [name for name, p in inspect.signature(_StepKernel).parameters.items()
-            if p.default is not p.empty]
 _FLAG_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
@@ -162,7 +152,7 @@ def _typed(name: str, value: object, from_flag: bool = False) -> object:
         if from_flag:
             value = [item for item in value.split(",") if item != ""]
         elif not isinstance(value, list):
-            raise ConfigError(f"{name} expects a list, got {value!r}")
+            raise ValueError(f"{name} expects a list, got {value!r}")
         item_kind = typing.get_args(kind)[0]
         return tuple(_typed_scalar(name, item_kind, v, from_flag) for v in value)
     return _typed_scalar(name, kind, value, from_flag)
@@ -180,12 +170,12 @@ def _typed_scalar(name: str, kind: type, value: object, from_flag: bool) -> obje
         else:
             raise ValueError
     except (KeyError, ValueError):
-        raise ConfigError(f"{name} expects {kind.__name__}, got {value!r}") from None
+        raise ValueError(f"{name} expects {kind.__name__}, got {value!r}") from None
     except OverflowError:  # a JSON integer beyond float range
         digits = len(str(value))
-        raise ConfigError(f"{name} must be finite, got an integer of {digits} digits") from None
+        raise ValueError(f"{name} must be finite, got an integer of {digits} digits") from None
     if kind is float and not math.isfinite(typed):
-        raise ConfigError(f"{name} must be finite, got {typed}")
+        raise ValueError(f"{name} must be finite, got {typed}")
     return typed
 
 
@@ -193,12 +183,12 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         raw = json.loads(text)
     except ValueError as exc:  # bad JSON, or an integer of too many digits
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ValueError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     unknown = set(raw) - set(_FIELD_TYPES)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     typed = {name: _typed(name, value) for name, value in raw.items()}
     return ExperimentConfig(**typed)
 
@@ -206,32 +196,33 @@ def parse_config(text: str) -> ExperimentConfig:
 def _validate(cfg: ExperimentConfig) -> None:
     """Single-field rules; each command checks its own cross-field rules."""
     if cfg.model not in _MODELS:
-        raise ConfigError(f"unknown model {cfg.model!r}; choose from {sorted(_MODELS)}")
+        raise ValueError(f"unknown model {cfg.model!r}; choose from {sorted(_MODELS)}")
     if cfg.ic_kind not in _IC_KINDS:
-        raise ConfigError(f"unknown ic_kind {cfg.ic_kind!r}")
-    GridSpec(cfg.n_points)
+        raise ValueError(f"unknown ic_kind {cfg.ic_kind!r}")
     if cfg.t_final <= 0:
-        raise ConfigError(f"t_final must be finite and positive, got {cfg.t_final}")
+        raise ValueError(f"t_final must be finite and positive, got {cfg.t_final}")
     if cfg.n_steps < 1:
-        raise ConfigError(f"n_steps must be a positive integer, got {cfg.n_steps}")
+        raise ValueError(f"n_steps must be a positive integer, got {cfg.n_steps}")
     if cfg.growth_tau is not None and cfg.growth_tau <= 0:
-        raise ConfigError(f"growth_tau must be finite and > 0, got {cfg.growth_tau}")
+        raise ValueError(f"growth_tau must be finite and > 0, got {cfg.growth_tau}")
     if cfg.growth_wavenumbers and min(cfg.growth_wavenumbers) < 1:
-        raise ConfigError(
+        raise ValueError(
             f"growth_wavenumbers entries must be >= 1, got {cfg.growth_wavenumbers}"
         )
     out_dir = os.path.dirname(os.path.abspath(cfg.output))
     if not os.path.isdir(out_dir) or not os.access(out_dir, os.W_OK):
-        raise ConfigError(f"output directory {out_dir!r} is not writable")
+        raise ValueError(f"output directory {out_dir!r} is not writable")
 
 
 def _build_ic(cfg: ExperimentConfig) -> InitialCondition:
     kind, shape = _IC_KINDS[cfg.ic_kind]
     if getattr(cfg, shape) is None:
-        raise ConfigError(f"{cfg.ic_kind} initial condition requires {shape}")
+        raise ValueError(f"{cfg.ic_kind} initial condition requires {shape}")
     pert = None
     if cfg.perturbation_mode is not None:
         pert = Perturbation(cfg.perturbation_mode, cfg.perturbation_amplitude)
+    elif cfg.perturbation_amplitude != _DEFAULTS.perturbation_amplitude:
+        raise ValueError("perturbation_amplitude requires perturbation_mode")
     return kind(cfg.amplitude, getattr(cfg, shape), perturbation=pert)
 
 
@@ -297,19 +288,17 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
     """Run a step-count ladder against a fine reference; fit the order."""
     ladder = sorted(cfg.nt_ladder)
     if len(set(ladder)) != len(ladder) or ladder[0] < 1:
-        raise ConfigError(f"nt_ladder entries must be distinct positive, got {ladder}")
+        raise ValueError(f"nt_ladder entries must be distinct positive, got {ladder}")
     if cfg.reference_n_steps <= ladder[-1]:
-        raise ConfigError(
+        raise ValueError(
             "reference_n_steps must exceed every ladder entry "
             f"({cfg.reference_n_steps} <= {ladder[-1]})"
         )
 
-    results = {
-        n: _run_once(dataclasses.replace(cfg, record_every=n), n)
-        for n in ladder + [cfg.reference_n_steps]
-    }
+    def run(n: int) -> SimulationRecord:
+        return _run_once(dataclasses.replace(cfg, record_every=n), n)
 
-    reference = results[cfg.reference_n_steps]
+    reference = run(cfg.reference_n_steps)
     if reference.blew_up:
         print(
             f"reference run (n_steps={cfg.reference_n_steps}) tripped the "
@@ -321,7 +310,7 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
 
     rows = []
     for n in ladder:
-        rec = results[n]
+        rec = run(n)
         if rec.blew_up:
             rows.append((n, None, None, "unstable"))
             continue
@@ -356,7 +345,8 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
             {"n_steps": n, "err_l2": e2, "err_h1": e1, "status": status}
             for n, e2, e1, status in rows
         ],
-        "filters": {name: getattr(cfg, name) for name in _FILTERS},
+        "filters": {name: getattr(cfg, name)
+                    for name in ("mollify_eps", "krasny_delta", "dealias")},
     }
     _write_json(cfg.output + "_orders.json", summary)
 
@@ -376,11 +366,11 @@ def _growth_multipliers(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
         w = np.asarray(cfg.amplitude_grid, dtype=np.float64)
         k = np.asarray(cfg.growth_wavenumbers, dtype=np.float64)
     except OverflowError as exc:
-        raise ConfigError(f"growth_wavenumbers entry too large: {exc}") from exc
+        raise ValueError(f"growth_wavenumbers entry too large: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):
         growth = split_step_mode_growth(w[:, None], cfg.growth_tau, k[None, :])
     if not np.isfinite(growth).all():
-        raise ConfigError(
+        raise ValueError(
             "growth multipliers overflow: 2 w^2 or growth_tau k^2 is not finite "
             "for some amplitude_grid and growth_wavenumbers entries"
         )
@@ -390,12 +380,12 @@ def _growth_multipliers(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 def cmd_stability(cfg: ExperimentConfig) -> int:
     """Scan carrier amplitudes for modewise instability; optional multipliers."""
     if (cfg.growth_tau is None) != (not cfg.growth_wavenumbers):
-        raise ConfigError("growth_tau and growth_wavenumbers must be given together")
+        raise ValueError("growth_tau and growth_wavenumbers must be given together")
     # the rate is exact in extended precision; only its float64 value can overflow
     with np.errstate(over="ignore"):
         unstable, growth_rate = stability_threshold_scan(cfg.amplitude_grid, cfg.xi_max)
     if not np.isfinite(growth_rate).all():
-        raise ConfigError(
+        raise ValueError(
             "growth_rate overflows a float for some amplitude_grid entries at xi_max"
         )
     growth = None if cfg.growth_tau is None else _growth_multipliers(cfg)
@@ -449,7 +439,7 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
     if growth is None or not seed_norm > 100 * max_dev:
         carrier_norm = abs(cfg.amplitude) * math.sqrt(2 * math.pi)
         share = max_dev / carrier_norm if carrier_norm > 0 else 0.0
-        raise ConfigError(
+        raise ValueError(
             f"perturbation_amplitude = {cfg.perturbation_amplitude} cannot be "
             f"measured: its L2 norm {seed_norm:.3e} must exceed 100 times the "
             f"unperturbed max deviation {max_dev:.3e}, and its energy must not "
@@ -534,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
         run, required, reads = _COMMANDS[command]
         for name in required:
             if getattr(cfg, name) in (None, ()):  # an empty list is none
-                raise ConfigError(f"{command} requires {name}")
+                raise ValueError(f"{command} requires {name}")
         reads = required + reads + ((_IC_KINDS[cfg.ic_kind][1],) if "ic_kind" in reads else ())
         changed = [name for name in _FIELD_TYPES if name not in reads
                    and getattr(cfg, name) not in (None, getattr(_DEFAULTS, name))]
@@ -542,9 +532,9 @@ def main(argv: list[str] | None = None) -> int:
         if command == "planewave_check" and cfg.ic_kind == "plane_wave":
             changed.remove("ic_kind")
         if changed:
-            raise ConfigError(f"{command} does not read {', '.join(changed)}; unset them")
+            raise ValueError(f"{command} does not read {', '.join(changed)}; unset them")
         return run(cfg)
-    except (ValueError, OSError, MemoryError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

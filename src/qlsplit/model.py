@@ -131,8 +131,10 @@ def _check_mode(k: int, grid: GridSpec, what: str) -> None:
 def exact_plane_wave(a: float, k: int, t: float, grid: GridSpec) -> np.ndarray:
     """Wave train a*exp(i(kx - omega t)) with dispersion omega = k^2 + a^2."""
     _check_mode(k, grid, "plane-wave wavenumber")
-    omega = k * k + a * a
-    return a * np.exp(1j * (k * grid.nodes - omega * t))
+    phase = (k * k + a * a) * t
+    if not np.isfinite(phase):
+        raise ValueError(f"plane-wave phase (k^2 + a^2) t is not finite at a = {a}, t = {t}")
+    return a * np.exp(1j * (k * grid.nodes - phase))
 
 
 def build_initial_condition(ic: InitialCondition, grid: GridSpec) -> np.ndarray:

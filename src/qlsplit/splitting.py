@@ -403,8 +403,9 @@ def planewave_deviation(
     underflows to 0 or overflows.
     Raises ValueError unless tau is finite and positive and n_steps >= 1,
     when k or a sideband of the perturbation is not representable on the
-    grid, and when m = k: at xi = m - k = 0 the seed is no sideband but a
-    change of the carrier's own amplitude.
+    grid, when m = k: at xi = m - k = 0 the seed is no sideband but a
+    change of the carrier's own amplitude, and when the exact wave's phase
+    (k^2 + a^2) t is not finite.
     """
     _check_positive("tau", tau)
     if not n_steps >= 1:

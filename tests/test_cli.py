@@ -16,7 +16,6 @@ from qlsplit.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_REFERENCE,
-    ConfigError,
     ExperimentConfig,
     _COMMANDS,
     _IC_KINDS,
@@ -108,11 +107,11 @@ class TestConfigRoundTrip:
         assert getattr(cfg, flag[2:].replace("-", "_")) == expected
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config keys"):
+        with pytest.raises(ValueError, match="unknown config keys"):
             parse_config('{"no_such_field": 1}')
 
     def test_invalid_json_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             parse_config("{not json")
 
 
@@ -221,6 +220,19 @@ PLANE_WAVE_200 = [*PLANE_WAVE, "--n-steps", "200", "--t-final", "0.2"]
     pytest.param(["simulate", "--n-points", "7"], None, id="simulate-odd-n-points"),
     pytest.param(["converge", "--n-points", "7", *LADDER], None,
                  id="converge-odd-n-points"),
+    # stability does not read n_points, so an odd one is named as unread
+    pytest.param(["stability", "--amplitude-grid", "0.5", "--n-points", "7"], None,
+                 id="stability-odd-n-points"),
+    *[pytest.param(["converge", "--n-points", "64", *LADDER, "--nt-ladder", ladder], None,
+                   id=f"converge-nt-ladder-{ladder}") for ladder in ("10,10", "0,10")],
+    pytest.param(["simulate", *SMALL_RUN, "--ic-kind", "sech"], None, id="unknown-ic-kind"),
+    pytest.param(["simulate", *SMALL_RUN, "--ic-kind", "plane_wave"], None,
+                 id="plane-wave-without-wavenumber"),
+    # a perturbation amplitude without a mode used to be dropped silently
+    pytest.param(["simulate", *SMALL_RUN, "--perturbation-amplitude", "0.5"], None,
+                 id="simulate-perturbation-amplitude-without-mode"),
+    pytest.param(["converge", "--n-points", "64", *LADDER, "--perturbation-amplitude", "0.5"],
+                 None, id="converge-perturbation-amplitude-without-mode"),
     pytest.param(["stability", "--amplitude-grid", "0.5,-1"], None,
                  id="negative-amplitude"),
     pytest.param(["stability", "--amplitude-grid", "nan,0.9"], None,
@@ -274,6 +286,9 @@ PLANE_WAVE_200 = [*PLANE_WAVE, "--n-steps", "200", "--t-final", "0.2"]
     pytest.param([*PLANE_WAVE, "--t-final", "inf"], None, id="planewave-inf-t-final"),
     pytest.param([*PLANE_WAVE, "--amplitude", "nan"], None,
                  id="planewave-nan-amplitude"),
+    # (k^2 + a^2) t is inf * 0 at t = 0: the exact wave train has no phase
+    pytest.param([*PLANE_WAVE, "--amplitude", "1e200"], None,
+                 id="planewave-carrier-phase-overflow"),
     pytest.param([*PLANE_WAVE, "--perturbation-amplitude", "nan"], None,
                  id="planewave-nan-perturbation-amplitude"),
     pytest.param([*PLANE_WAVE, "--perturbation-amplitude", "0"], None,
@@ -289,6 +304,9 @@ PLANE_WAVE_200 = [*PLANE_WAVE, "--n-steps", "200", "--t-final", "0.2"]
     pytest.param(["simulate", *SMALL_RUN], '{"dealias": "false"}', id="json-bool-string"),
     pytest.param(["simulate", *SMALL_RUN], '{"record_every": 2.5}', id="json-int-float"),
     pytest.param(["simulate"], '{"n_points": 64.0}', id="json-n-points-float"),
+    pytest.param(["converge", "--reference-n-steps", "80"], '{"nt_ladder": 5}',
+                 id="json-list-field-scalar"),
+    pytest.param(["simulate", *SMALL_RUN], "[1]", id="json-not-an-object"),
     pytest.param(["simulate", *SMALL_RUN], '{"record_every": true}', id="json-int-bool"),
     pytest.param(["simulate", *SMALL_RUN], '{"amplitude": "0.3"}',
                  id="json-float-string"),
@@ -474,7 +492,11 @@ class TestConverge:
         assert summary["order_l2"] is None
         assert "stable rows" in summary["notice"]
 
-    def test_reference_blowup_exit_code(self, tmp_path, capsys):
+    def test_reference_blowup_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the reference runs first, and its trip ends the study before any rung
+        runs = []
+        monkeypatch.setattr("qlsplit.cli.run_simulation",
+                            lambda *args: runs.append(args) or run_simulation(*args))
         out = str(tmp_path / "badref")
         cfg = ExperimentConfig(
             n_points=512, amplitude=0.625, width=0.1, t_final=np.pi / 4,
@@ -484,6 +506,8 @@ class TestConverge:
         rc = main(["converge", "--config", write_config(tmp_path, cfg)])
         assert rc == EXIT_REFERENCE
         assert "reference run" in capsys.readouterr().err
+        assert len(runs) == 1
+        assert not list(tmp_path.glob("badref*"))
 
     def test_roundoff_ladder_skips_fit(self, tmp_path):
         # plane-wave data is integrated exactly; errors sit at roundoff.  A
@@ -693,7 +717,8 @@ def test_stability_csvs_match_per_row_writer(tmp_path, grid, xi_max, tau, wavenu
 
 
 @pytest.mark.parametrize("argv, code, stream, message", [
-    pytest.param([*PLANE_WAVE_NO_MODE, "--amplitude", "1e200", "--perturbation-mode", "3"],
+    # a^2 = 1.44e308 is finite, so the exact wave is; |u|^2 overflows in the first kick
+    pytest.param([*PLANE_WAVE_NO_MODE, "--amplitude", "1.2e154", "--perturbation-mode", "3"],
                  EXIT_BLOWUP, "out",
                  "the unperturbed march turned non-finite; no growth to report",
                  id="planewave-carrier"),

@@ -1,6 +1,7 @@
 """The package namespace and the library modules' ``__all__`` agree, and
 every benchmark tracer target resolves."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -79,6 +80,21 @@ def test_every_public_definition_is_exported():
             and value.__module__ == module.__name__
         }
         assert defined - set(module.__all__) == set(), module.__name__
+
+
+def test_cli_is_a_client_of_the_public_library():
+    # the CLI imports no private library name and has no error type of its
+    # own: every rule it states raises ValueError, as the library's do
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("qlsplit"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert not [name for name in classes
+                if isinstance(getattr(cli, name), type)
+                and issubclass(getattr(cli, name), BaseException)]
 
 
 def load_spans():

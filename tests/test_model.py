@@ -132,6 +132,10 @@ class TestExactPlaneWave:
         for k in (1.5, np.float64(-0.25), np.nan, np.inf):
             with pytest.raises(ValueError):
                 exact_plane_wave(0.5, k, 0.0, grid)
+        # (k^2 + a^2) t overflows, or is inf * 0 = nan at t = 0
+        for a, t in ((1e200, 0.0), (1e200, 1.0), (1e154, 1e10), (0.5, np.inf)):
+            with pytest.raises(ValueError, match="phase"):
+                exact_plane_wave(a, 1, t, grid)
         assert np.array_equal(exact_plane_wave(0.5, np.int64(3), 0.0, grid),
                               exact_plane_wave(0.5, 3, 0.0, grid))
 
@@ -171,6 +175,10 @@ class TestInitialConditions:
             MultiMode(0.5, (2, 2))
         with pytest.raises(ValueError):
             MultiMode(0.5, (-1, 2))
+        with pytest.raises(ValueError, match="at least one"):
+            MultiMode(0.5, ())
+        with pytest.raises(TypeError, match="unknown initial condition type"):
+            build_initial_condition(Perturbation(mode=1), grid)
         with pytest.raises(ValueError):
             build_initial_condition(PlaneWave(0.5, grid.n_points), grid)
         with pytest.raises(ValueError):

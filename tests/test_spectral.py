@@ -64,6 +64,10 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(n)
 
+    def test_rejects_non_integer_size(self):
+        with pytest.raises(TypeError, match="n_points must be an integer"):
+            GridSpec(64.0)
+
 
 class TestTransforms:
     def test_constant_field(self, grid):

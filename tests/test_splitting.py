@@ -544,13 +544,17 @@ class TestPlanewaveDeviation:
         # |u|^2 overflows, the potential turns inf and the state nan in the
         # first kick; a nan deviation used to drop out of the max
         grid = GridSpec(64)
+        # a^2 = 1.44e308 still gives the exact wave a finite frequency
         with np.errstate(over="ignore", invalid="ignore"):
-            unperturbed = planewave_deviation(1e200, 1, 1e-3, 5, grid, MODEL)
+            unperturbed = planewave_deviation(1.2e154, 1, 1e-3, 5, grid, MODEL)
             seeded = planewave_deviation(0.5, 1, 1e-3, 5, grid, MODEL,
                                          Perturbation(mode=3, amplitude=1e160))
         assert unperturbed == (math.inf, None)
         # the seed energy overflows too, so there is no growth to read
         assert seeded == (math.inf, None)
+        # beyond that the exact wave itself has no finite phase
+        with pytest.raises(ValueError, match="phase"):
+            planewave_deviation(1e200, 1, 1e-3, 5, grid, MODEL)
 
     def test_rejects_bad_steps(self):
         # zero or negative n_steps used to read a growth of 1 from no march,
