@@ -26,7 +26,8 @@ times the unperturbed march's max deviation.
 Exit codes: 0 success, 2 configuration error (a ValueError, from the rules
 here or from the library on the config's values, or an array too large to
 allocate), 3 blow-up guard halt or a non-finite planewave-check march,
-4 convergence reference-run failure.
+4 convergence reference-run failure.  Every command names a non-finite
+result itself, so numpy's floating-point warnings are not printed.
 """
 
 from __future__ import annotations
@@ -367,8 +368,7 @@ def _growth_multipliers(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
         k = np.asarray(cfg.growth_wavenumbers, dtype=np.float64)
     except OverflowError as exc:
         raise ValueError(f"growth_wavenumbers entry too large: {exc}") from exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        growth = split_step_mode_growth(w[:, None], cfg.growth_tau, k[None, :])
+    growth = split_step_mode_growth(w[:, None], cfg.growth_tau, k[None, :])
     if not np.isfinite(growth).all():
         raise ValueError(
             "growth multipliers overflow: 2 w^2 or growth_tau k^2 is not finite "
@@ -382,8 +382,7 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
     if (cfg.growth_tau is None) != (not cfg.growth_wavenumbers):
         raise ValueError("growth_tau and growth_wavenumbers must be given together")
     # the rate is exact in extended precision; only its float64 value can overflow
-    with np.errstate(over="ignore"):
-        unstable, growth_rate = stability_threshold_scan(cfg.amplitude_grid, cfg.xi_max)
+    unstable, growth_rate = stability_threshold_scan(cfg.amplitude_grid, cfg.xi_max)
     if not np.isfinite(growth_rate).all():
         raise ValueError(
             "growth_rate overflows a float for some amplitude_grid entries at xi_max"
@@ -423,11 +422,8 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
     pert = Perturbation(mode=cfg.perturbation_mode, amplitude=cfg.perturbation_amplitude)
     grid = GridSpec(cfg.n_points)
     model = _MODELS[cfg.model]()
-    # a march that overflows is reported below, not by numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        pert_dev, growth = planewave_deviation(cfg.amplitude, k, tau, n_steps, grid,
-                                               model, pert)
-        max_dev, _ = planewave_deviation(cfg.amplitude, k, tau, n_steps, grid, model)
+    pert_dev, growth = planewave_deviation(cfg.amplitude, k, tau, n_steps, grid, model, pert)
+    max_dev, _ = planewave_deviation(cfg.amplitude, k, tau, n_steps, grid, model)
     for march, dev in (("unperturbed", max_dev), ("perturbed", pert_dev)):
         if dev == math.inf:
             print(f"the {march} march turned non-finite; no growth to report")
@@ -533,7 +529,9 @@ def main(argv: list[str] | None = None) -> int:
             changed.remove("ic_kind")
         if changed:
             raise ValueError(f"{command} does not read {', '.join(changed)}; unset them")
-        return run(cfg)
+        # each command reports a non-finite result itself; numpy would only warn first
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run(cfg)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

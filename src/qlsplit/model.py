@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import GridSpec, _check_positive
+from .spectral import GridSpec
 
 __all__ = [
     "ModelSpec",
@@ -84,7 +84,10 @@ class Gaussian:
     perturbation: Perturbation | None = None
 
     def __post_init__(self) -> None:
-        _check_positive("Gaussian width", self.width)
+        w = float(self.width)  # the sample divides by 2 w^2, which must not overflow or be 0
+        if not (w > 0 and 0 < 2.0 * w * w < np.inf):
+            raise ValueError("Gaussian width must be finite and positive, and 2 width^2 "
+                             f"a positive finite float, got {self.width}")
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ def _check_positive(name: str, value: float) -> None:
 def _filter_weights(
     grid: GridSpec, mollify_eps: float | None, dealias: bool
 ) -> np.ndarray | None:
-    """0/1 spectral weights: the cutoff |k| <= floor(1/eps) times the 2/3 mask.
+    """0/1 spectral weights: the cutoff |k| <= 1/eps times the 2/3 mask.
 
     The 2/3 rule keeps |k| <= floor(N/3).  None when no mode is removed.
     """
@@ -101,7 +101,7 @@ def _filter_weights(
     keep = np.ones(grid.n_points, dtype=bool)
     if mollify_eps is not None:
         _check_positive("mollify_eps", mollify_eps)
-        keep &= kabs <= int(np.floor(1.0 / mollify_eps))
+        keep &= kabs <= 1.0 / mollify_eps  # 1/eps = inf keeps every mode
     if dealias:
         keep &= kabs <= grid.n_points // 3
     return None if keep.all() else keep.astype(np.float64)

@@ -44,8 +44,9 @@ __all__ = [
 class StepperConfig:
     """Time-stepping parameters.
 
-    ``tau`` is the step size, finite and positive.  ``mollify_eps``
-    switches on the frequency cutoff at |k| <= floor(1/eps);
+    ``tau`` is the step size, finite and positive; a run also needs
+    tau (N/2)^2 finite.  ``mollify_eps`` switches on the frequency cutoff
+    at |k| <= 1/eps;
     ``krasny_delta`` switches on the relative spectral floor filter.
     ``mollify_eps`` and both guard factors must be finite: a NaN factor
     would switch its guard off.
@@ -55,7 +56,8 @@ class StepperConfig:
     reads max |u|^2 at each step's phase kick, where the state has flown
     half the step (the kick leaves |u| unchanged at every node), and max
     |u| of every t_n state the run builds: record strides, snapshots and
-    the last step.  A trip during step n is reported at t_n.
+    the last step.  A trip during step n is reported at t_n.  A record
+    stride whose energy is not finite trips it too, as "nonfinite".
     ``energy_guard_factor`` optionally adds an instability
     trigger on the conserved energy: the run halts when, on a record
     stride, |E(t) - E(0)| exceeds the factor times (|E(0)| + M(0)).  This
@@ -146,10 +148,12 @@ class _StepKernel:
         krasny_delta: float | None = None,
         dealias: bool = False,
     ) -> None:
+        n = grid.n_points
+        if not math.isfinite(float(tau) * (n // 2) ** 2):  # the resonance number; NaN fails
+            raise ValueError(f"tau must be finite, and tau (N/2)^2 too, got {tau} at N = {n}")
         self.model = model
         self._gprime = P.polyder(model.g_coeffs)
         self.tau = tau
-        n = grid.n_points
         self.neg_k2 = -grid._k_squared[: n // 2 + 1]  # rfft half spectrum, Nyquist kept
         self.half_kick = np.exp(-1j * grid._k_squared * (tau / 2.0))
         self.moll_weights = _filter_weights(grid, mollify_eps, dealias)
@@ -161,11 +165,6 @@ class _StepKernel:
         if self._linear:
             mult = mult * (1.0 + model.quasilinear_sign * self.neg_k2)
         self._v_mult = None if np.all(mult == 1.0) else mult  # None: no FFT pass
-        self._s = np.empty(n)
-        self._work = np.empty(n)
-        self._phase = np.empty(n, dtype=np.complex128)
-        self._cos = self._phase.real
-        self._sin = self._phase.imag
 
     def potential(self, s: np.ndarray) -> np.ndarray:
         """f(s) + sign * g'(s) * (g(s))_xx for s = |u|^2, filtered by the weights."""
@@ -180,13 +179,14 @@ class _StepKernel:
         return v
 
     def phase(self, s: np.ndarray) -> np.ndarray:
-        """exp(-i tau V) for s = |u|^2, in the kernel's buffer."""
-        arg = np.multiply(self.potential(s), -self.tau, out=self._work)
+        """exp(-i tau V) for s = |u|^2, a new array."""
+        arg = self.potential(s) * -self.tau
+        phase = np.empty(len(s), dtype=np.complex128)
         # cos + i sin of -tau V equals exp(-1j * tau * V) bit for bit, at
         # about half the cost of the complex exp.
-        np.cos(arg, out=self._cos)
-        np.sin(arg, out=self._sin)
-        return self._phase
+        np.cos(arg, out=phase.real)
+        np.sin(arg, out=phase.imag)
+        return phase
 
     def kick(self, f_half: np.ndarray) -> tuple[np.ndarray, float]:
         """Phase kick, filters and trailing half flight of one step.
@@ -196,9 +196,7 @@ class _StepKernel:
         nodes during the kick, which leaves |u| unchanged at every node.
         """
         u = np.fft.ifft(f_half)
-        s = self._s
-        np.square(u.real, out=s)
-        s += np.square(u.imag, out=self._work)
+        s = u.real**2 + u.imag**2
         u *= self.phase(s)
         f_new = np.fft.fft(u)
         if self.moll_weights is not None:
@@ -212,16 +210,12 @@ class _StepKernel:
         return f_new, float(s.max())
 
     def march(self, u0: np.ndarray, n_steps: int) -> Iterator[tuple[int, np.ndarray, float]]:
-        """Yield (n, raw spectrum at t_n, kick's s_max) for each step from u0.
-
-        The spectrum is valid until the loop resumes and flies it, in place,
-        through the next step's leading half flight.
-        """
+        """Yield (n, raw spectrum at t_n, kick's s_max) for each step from u0."""
         f = np.fft.fft(u0) * self.half_kick
         for n in range(1, n_steps + 1):
             f, s_max = self.kick(f)
             yield n, f, s_max
-            f *= self.half_kick
+            f = f * self.half_kick
 
 
 def nonlinear_phase_step(
@@ -232,10 +226,8 @@ def nonlinear_phase_step(
     The potential V is frozen at the input amplitude (which the flow itself
     conserves nodewise), so the map is a pure pointwise phase rotation.
     With ``mollify_eps`` set, the frequency cutoff is applied to V.
-    ``tau`` must be finite; zero and negative steps are valid.
+    ``tau`` (N/2)^2 must be finite; zero and negative steps are valid.
     """
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau}")
     s = u.real**2 + u.imag**2
     kernel = _StepKernel(_grid(u), model, tau, mollify_eps)
     return u * kernel.phase(s)
@@ -275,8 +267,9 @@ def run_simulation(
     recorded at t = 0, every ``cfg.record_every`` steps, and at the end.
     The run halts early with a ``BlowupReport`` as soon as the maximum
     amplitude exceeds ``cfg.blowup_factor`` times its initial value or
-    turns non-finite; with ``cfg.energy_guard_factor`` set, an
-    energy-drift trip on a record stride halts it as well.
+    turns non-finite, or a record stride's energy is not finite; with
+    ``cfg.energy_guard_factor`` set, an energy-drift trip on a record
+    stride halts it as well.
 
     The amplitude guard reads max |u|^2 at each step's phase kick (the
     kick leaves |u| unchanged at every node) and max |u| of every t_n
@@ -338,7 +331,7 @@ def run_simulation(
     amp0 = float(np.abs(u0).max())
     threshold = cfg.blowup_factor * amp0
     energy0 = record(0.0, u0, amp0)
-    energy_threshold = None
+    energy_threshold = math.inf
     if cfg.energy_guard_factor is not None:
         energy_threshold = cfg.energy_guard_factor * (abs(energy0) + masses[0])
     if 0 in snap_steps:
@@ -355,11 +348,9 @@ def run_simulation(
             trigger = trigger or _guard_trigger(amp, threshold)
             if trigger is not None or stride:
                 e = record(t, u, amp)
-                if (
-                    trigger is None
-                    and energy_threshold is not None
-                    and (not np.isfinite(e) or abs(e - energy0) > energy_threshold)
-                ):
+                if trigger is None and not math.isfinite(e):
+                    trigger = "nonfinite"
+                elif trigger is None and abs(e - energy0) > energy_threshold:
                     trigger = "energy"
             if n in snap_steps:
                 snapshots.append((t, u.copy()))  # u may be the final field

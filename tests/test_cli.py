@@ -301,6 +301,11 @@ PLANE_WAVE_200 = [*PLANE_WAVE, "--n-steps", "200", "--t-final", "0.2"]
       for amp in ("1e-14", "1e-16")],
     pytest.param(["simulate", *SMALL_RUN, "--width", "inf"], None,
                  id="simulate-inf-width"),
+    # 2 width^2 overflows, or underflows to 0 and samples 0/0 at x = 0
+    pytest.param(["simulate", *SMALL_RUN, "--width", "1e200"], None,
+                 id="simulate-width-square-overflows"),
+    pytest.param(["simulate", *SMALL_RUN, "--width", "1e-300"], None,
+                 id="simulate-width-square-underflows"),
     pytest.param(["simulate", *SMALL_RUN], '{"dealias": "false"}', id="json-bool-string"),
     pytest.param(["simulate", *SMALL_RUN], '{"record_every": 2.5}', id="json-int-float"),
     pytest.param(["simulate"], '{"n_points": 64.0}', id="json-n-points-float"),
@@ -739,6 +744,23 @@ def test_overflow_is_reported_without_numpy_warnings(tmp_path, capsys, argv, cod
     assert rc == code
     assert message in getattr(capsys.readouterr(), stream)
     assert not list(tmp_path.glob("r*"))
+
+
+@pytest.mark.parametrize("value", ["5e-324", "1e-300", "1e200", "1e308"])
+@pytest.mark.parametrize("flag", [
+    ["--amplitude"], ["--width"], ["--t-final"], ["--mollify-eps"], ["--krasny-delta"],
+    ["--blowup-factor"], ["--energy-guard-factor"],
+    ["--perturbation-mode", "2", "--perturbation-amplitude"],
+], ids=lambda flag: flag[-1])
+def test_extreme_float_flags_end_in_an_exit_code(tmp_path, flag, value):
+    # every simulate float flag, at the edges of float range: a config error,
+    # a run or a guard trip, never a traceback or a numpy warning
+    argv = ["simulate", "--n-points", "32", "--n-steps", "20", *flag, value,
+            "--output", str(tmp_path / "r")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_BLOWUP)
 
 
 class TestPlanewaveCheck:

@@ -166,7 +166,8 @@ class TestInitialConditions:
         assert c[idx[1]] == pytest.approx(0.5, rel=1e-12)
 
     def test_validation(self, grid):
-        for width in (-0.1, np.inf, np.nan):
+        # 2 width^2 overflows at 1e200 and underflows to 0 at 1e-300
+        for width in (-0.1, np.inf, np.nan, 1e200, 1e-300):
             with pytest.raises(ValueError, match="Gaussian width must be finite and positive"):
                 Gaussian(0.2, width)
         with pytest.raises(ValueError):

@@ -206,6 +206,16 @@ class TestMollifier:
             f = random_field(grid, rng)
             assert l2_norm(filtered(f, eps)) <= l2_norm(f) * (1 + 1e-12)
 
+    def test_cutoff_is_floor_of_inverse_eps(self, grid):
+        # |k| <= 1/eps keeps the integers |k| <= floor(1/eps); None keeps all
+        kabs = np.abs(grid.wavenumbers)
+        n = grid.n_points
+        for eps in (1.0, 0.5, 1 / 3, 0.2, 4 / n, 2 / n):
+            weights = _filter_weights(grid, eps, False)
+            got = np.ones(n) if weights is None else weights
+            assert np.array_equal(got, kabs <= np.floor(1.0 / eps)), eps
+        assert _filter_weights(grid, 5e-324, False) is None  # 1/eps = inf
+
     def test_rejects_bad_eps(self, grid):
         f = random_field(grid, np.random.default_rng(0))
         with pytest.raises(ValueError):

@@ -164,6 +164,39 @@ class TestNonlinearPhaseStep:
                 assert np.array_equal(out, u * np.exp(-1j * tau * v))
 
 
+class TestStatelessKernel:
+    """The kernel holds only its multipliers: each result is a new array."""
+
+    def test_phase_calls_return_distinct_arrays(self, grid):
+        kernel = _StepKernel(grid, MODEL, 0.1)
+        rng = np.random.default_rng(40)
+        first = kernel.phase(rng.uniform(0, 1, grid.n_points))
+        kept = first.copy()
+        second = kernel.phase(rng.uniform(0, 1, grid.n_points))
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+    def test_march_never_writes_a_yielded_spectrum(self, grid):
+        u0 = random_field(grid, np.random.default_rng(41), 0.3)
+        kernel = _StepKernel(grid, MODEL, 1e-3, mollify_eps=0.2)
+        copied = [f.copy() for _, f, _ in kernel.march(u0, 5)]
+        listed = [f for _, f, _ in kernel.march(u0, 5)]
+        for f_copy, f_kept in zip(copied, listed, strict=True):
+            assert np.array_equal(f_copy, f_kept)
+
+    def test_tau_resonance_number_must_be_finite(self):
+        # tau (N/2)^2 = 1.024e309 overflows: the free flight would be NaN
+        with pytest.raises(ValueError, match="tau must be finite"):
+            _StepKernel(GridSpec(64), ModelSpec(), 1e306)
+        assert np.isfinite(_StepKernel(GridSpec(64), ModelSpec(), 1e305).half_kick).all()
+
+    def test_cutoff_beyond_float_range_keeps_every_mode(self, grid):
+        # 1/eps = inf: the cutoff removes nothing
+        f = random_field(grid, np.random.default_rng(42))
+        assert np.array_equal(nonlinear_phase_step(MODEL, f, 0.1, mollify_eps=1e-320),
+                              nonlinear_phase_step(MODEL, f, 0.1))
+
+
 class TestRealFFTPotential:
     FILTERS = [{}, {"mollify_eps": 0.05}, {"mollify_eps": 0.3}, {"dealias": True}]
 
@@ -626,6 +659,19 @@ class TestBlowupGuards:
             rec = run_simulation(MODEL, Gaussian(1e200, 0.5), grid, cfg, 0.01)
         assert rec.blew_up
         assert rec.blowup.trigger == "nonfinite"
+
+    def test_nonfinite_energy_trigger(self):
+        # |u|^4 overflows while max|u| and the mass stay finite: every
+        # energy is non-finite, with the energy guard on or off
+        grid = GridSpec(64)
+        for factor in (None, 10.0):
+            cfg = StepperConfig(tau=1e-3, record_every=5, energy_guard_factor=factor)
+            with np.errstate(over="ignore", invalid="ignore"):
+                rec = run_simulation(MODEL, Gaussian(1e80, 0.5), grid, cfg, 0.01)
+            assert rec.blew_up
+            assert rec.blowup.trigger == "nonfinite"
+            assert rec.blowup.onset_time == pytest.approx(5e-3)
+            assert np.isfinite(rec.max_amplitude).all()
 
     def test_stable_run_reports_no_blowup(self):
         grid = GridSpec(256)
