@@ -101,7 +101,7 @@ def _filter_weights(
     keep = np.ones(grid.n_points, dtype=bool)
     if mollify_eps is not None:
         _check_positive("mollify_eps", mollify_eps)
-        keep &= kabs <= 1.0 / mollify_eps  # 1/eps = inf keeps every mode
+        keep &= kabs <= 1.0 / float(mollify_eps)  # float: 1/eps = inf, unwarned, keeps every mode
     if dealias:
         keep &= kabs <= grid.n_points // 3
     return None if keep.all() else keep.astype(np.float64)

@@ -179,13 +179,13 @@ class _StepKernel:
         return v
 
     def phase(self, s: np.ndarray) -> np.ndarray:
-        """exp(-i tau V) for s = |u|^2, a new array."""
-        arg = self.potential(s) * -self.tau
+        """exp(-i tau V) for s = |u|^2, a new array, from one vectorised t = tan(-tau V / 2)."""
+        t = np.tan(self.potential(s) * (-0.5 * self.tau))
+        d = 2.0 / (1.0 + t * t)  # 1 + cos
         phase = np.empty(len(s), dtype=np.complex128)
-        # cos + i sin of -tau V equals exp(-1j * tau * V) bit for bit, at
-        # about half the cost of the complex exp.
-        np.cos(arg, out=phase.real)
-        np.sin(arg, out=phase.imag)
+        np.multiply(t, d, out=phase.imag)  # sin
+        np.subtract(1.0, t * phase.imag, out=phase.real)  # cos = 1 - t sin, exact near 0,
+        np.subtract(d, 1.0, out=phase.real, where=d < 1.0)  # and d - 1 where cos < 0
         return phase
 
     def kick(self, f_half: np.ndarray) -> tuple[np.ndarray, float]:
@@ -228,9 +228,8 @@ def nonlinear_phase_step(
     With ``mollify_eps`` set, the frequency cutoff is applied to V.
     ``tau`` (N/2)^2 must be finite; zero and negative steps are valid.
     """
-    s = u.real**2 + u.imag**2
     kernel = _StepKernel(_grid(u), model, tau, mollify_eps)
-    return u * kernel.phase(s)
+    return u * kernel.phase(u.real**2 + u.imag**2)
 
 
 def _step_index(t: float, tau: float, what: str) -> int:

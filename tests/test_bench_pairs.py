@@ -2,6 +2,7 @@
 
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -55,3 +56,23 @@ def test_resolved_flag(bench_pairs, monkeypatch, tmp_path, base, head, resolved)
     fake_runs(bench_pairs, monkeypatch, base, head)
     record = bench_pairs.pairs(tmp_path, "stability-scan", [0, 1, 2, 3], 1.0, None)
     assert record["metrics"]["wall_s"]["resolved"] is resolved
+
+
+def test_machine_records_numpy_simd_dispatch(bench_pairs):
+    # every BENCH record says which SIMD targets numpy dispatched to
+    simd = bench_pairs.machine()["numpy_simd"]
+    assert isinstance(simd["avx512f"], bool)
+    assert all(isinstance(target, str) for target in simd["dispatch"])
+
+
+@pytest.mark.parametrize("umath, simd", [
+    (None, {"dispatch": "unknown", "avx512f": "unknown"}),
+    (SimpleNamespace(__cpu_dispatch__=["AVX2", "AVX512F", "AVX512_SKX"],
+                     __cpu_features__={"AVX2": True, "AVX512F": False}),
+     {"dispatch": ["AVX2"], "avx512f": False}),
+], ids=["neither", "numpy-1"])
+def test_numpy_simd_fallbacks(bench_pairs, monkeypatch, umath, simd):
+    # numpy 1.x has no numpy._core; the "numpy-1" case reads numpy.core's
+    monkeypatch.setitem(sys.modules, "numpy._core._multiarray_umath", None)
+    monkeypatch.setitem(sys.modules, "numpy.core._multiarray_umath", umath)
+    assert bench_pairs.machine()["numpy_simd"] == simd

@@ -196,6 +196,14 @@ class TestInitialConditions:
         assert MultiMode(0.3, np.array([1, 2])).wavenumbers == (1, 2)
         assert type(MultiMode(0.3, (np.int64(1),)).wavenumbers[0]) is int
 
+    def test_subnormal_width_samples_quietly(self):
+        # 2 width^2 = 2e-320 is subnormal: x^2 / (2 width^2) overflows to inf
+        # off the centre node, where the sample is 0, without a warning
+        f = build_initial_condition(Gaussian(0.5, 1e-160), GridSpec(64))
+        expected = np.zeros(64, dtype=complex)
+        expected[32] = 0.5  # the node x = 0
+        assert np.array_equal(f, expected)
+
     def test_gaussian_wraparound_negligible_for_narrow_widths(self):
         # sampling the non-periodized Gaussian: tail at the domain edge
         grid = GridSpec(256)

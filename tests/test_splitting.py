@@ -80,6 +80,19 @@ def reference_potential(model, s, grid, weights=None):
     return v
 
 
+def half_angle_phase(theta):
+    """e^{i theta} from t = tan(theta / 2) and d = 2 / (1 + t^2) = 1 + cos: sin
+    is t d, cos is 1 - t sin for |theta| <= pi / 2 and d - 1 beyond.
+
+    The run kernel's phase formula, which the reference loops share to match
+    it bit for bit; ``TestHalfAnglePhase`` pins the kernel's to np.exp.
+    """
+    t = np.tan(0.5 * theta)
+    d = 2.0 / (1.0 + t * t)
+    sin = t * d
+    return np.where(d < 1.0, d - 1.0, 1.0 - t * sin) + 1j * sin
+
+
 def reference_states(model, u0, tau, n_steps, mollify_eps=None,
                      krasny_delta=None, dealias=False, potential=reference_potential):
     """The original unfused step loop: u_1, ..., u_n, one whole step each.
@@ -96,7 +109,7 @@ def reference_states(model, u0, tau, n_steps, mollify_eps=None,
     for _ in range(n_steps):
         u_mid = np.fft.ifft(f_raw * half_kick)
         s = u_mid.real**2 + u_mid.imag**2
-        u_mid *= np.exp(-1j * tau * potential(model, s, grid, weights))
+        u_mid *= half_angle_phase(-tau * potential(model, s, grid, weights))
         f_raw = np.fft.fft(u_mid)
         if weights is not None:
             f_raw *= weights
@@ -113,7 +126,7 @@ class TestNonlinearPhaseStep:
     def test_zero_tau_is_identity(self, grid):
         f = random_field(grid, np.random.default_rng(0))
         out = nonlinear_phase_step(MODEL, f, 0.0)
-        assert np.allclose(out, f, atol=1e-15)
+        assert np.array_equal(out, f)
 
     def test_rejects_nonfinite_tau(self, grid):
         # zero and negative tau are valid steps; a non-finite one made NaNs
@@ -149,6 +162,12 @@ class TestNonlinearPhaseStep:
             with pytest.raises(ValueError, match="mollify_eps must be finite and positive"):
                 nonlinear_phase_step(MODEL, f, 0.1, mollify_eps=eps)
 
+    def test_subnormal_numpy_eps_keeps_every_mode(self, grid):
+        # 1 / np.float64(5e-324) overflows; the cutoff is inf, without a warning
+        f = random_field(grid, np.random.default_rng(3))
+        out = nonlinear_phase_step(MODEL, f, 0.1, mollify_eps=np.float64(5e-324))
+        assert np.array_equal(out, nonlinear_phase_step(MODEL, f, 0.1))
+
     @pytest.mark.parametrize("mollify_eps", [None, 0.05, 0.3])
     @pytest.mark.parametrize("model", MODELS,
                              ids=["plain", "thin-film", "cubic", "polynomial"])
@@ -161,7 +180,58 @@ class TestNonlinearPhaseStep:
             v = reference_potential(model, s, grid, reference_weights(grid, mollify_eps))
             for tau in (1e-4, 1e-2, 0.5):
                 out = nonlinear_phase_step(model, u, tau, mollify_eps)
-                assert np.array_equal(out, u * np.exp(-1j * tau * v))
+                assert np.array_equal(out, u * half_angle_phase(-tau * v))
+
+
+class TestHalfAnglePhase:
+    """``_StepKernel.phase`` against np.exp: within 1e-15, modulus within 1e-15 of 1."""
+
+    SPECIAL = [1e-300, 1e-8, 1e-4, 1.0, np.pi, np.pi + 1e-12, np.pi - 1e-12, 1e4, 1e8]
+
+    @staticmethod
+    def phase(theta):
+        """e^{i theta} from the kernel: the cubic model at tau = 1 has V = s,
+        so phase(-theta) is exp(-i V) = e^{i theta}."""
+        theta = np.asarray(theta, dtype=np.float64)
+        n = max(8, len(theta) + len(theta) % 2)  # a grid size: even, at least 8
+        s = np.zeros(n)
+        s[: len(theta)] = -theta
+        return _StepKernel(GridSpec(n), ModelSpec.cubic_nls(), 1.0).phase(s)[: len(theta)]
+
+    def test_matches_exp(self):
+        rng = np.random.default_rng(41)
+        special = np.array(self.SPECIAL)
+        for theta in (np.concatenate([special, -special]),
+                      rng.uniform(-1e4, 1e4, 10**5) * 10.0 ** rng.integers(-8, 5, 10**5)):
+            got = self.phase(theta)
+            assert np.abs(got - np.exp(1j * theta)).max() <= 1e-15
+            assert np.abs(np.abs(got) - 1.0).max() <= 1e-15
+
+    def test_small_angles_match_cos_to_one_ulp(self):
+        # a wave train turns every node by the same small theta each step, so
+        # an error in cos there drifts its modulus step after step; d - 1 in
+        # place of 1 - t sin was 3 ulp off and failed the CLI's wave checks
+        theta = np.geomspace(1e-8, 1e-2, 4096)
+        theta = np.concatenate([theta, -theta])
+        got = self.phase(theta)
+        assert np.abs(got.real - np.cos(theta)).max() <= np.spacing(0.5)
+
+    def test_pi_stays_finite(self):
+        # t = tan(pi / 2) is large but t^2 stays far from overflow
+        t = np.tan(0.5 * np.pi)
+        assert t == pytest.approx(1.633e16, rel=1e-3)
+        got = self.phase([np.pi, -np.pi])  # filterwarnings = error: no overflow warning
+        assert np.abs(got - (-1.0)).max() <= 1e-15
+
+    def test_zero_is_exactly_one(self):
+        got = self.phase([0.0, -0.0])
+        assert np.array_equal(got, [1.0 + 0j, 1.0 + 0j])
+
+    def test_nonfinite_theta_gives_nan(self):
+        # as the CLI runs it, under errstate; a NaN state trips "nonfinite"
+        with np.errstate(invalid="ignore"):
+            got = self.phase([np.nan, np.inf, -np.inf])
+        assert np.isnan(got.real).all() and np.isnan(got.imag).all()
 
 
 class TestStatelessKernel:
