@@ -203,10 +203,8 @@ class _StepKernel:
             f_new *= self.moll_weights
         f_new *= self.half_kick
         if self.krasny_delta is not None:
-            mags = np.abs(f_new)
-            peak = mags.max()
-            if peak > 0.0:
-                f_new[mags < self.krasny_delta * peak] = 0.0
+            mags = np.abs(f_new)  # a zero or NaN peak zeroes no mode
+            f_new[mags < self.krasny_delta * mags.max()] = 0.0
         return f_new, float(s.max())
 
     def march(self, u0: np.ndarray, n_steps: int) -> Iterator[tuple[int, np.ndarray, float]]:
@@ -228,8 +226,9 @@ def nonlinear_phase_step(
     With ``mollify_eps`` set, the frequency cutoff is applied to V.
     ``tau`` (N/2)^2 must be finite; zero and negative steps are valid.
     """
+    s = u.real**2 + u.imag**2
     kernel = _StepKernel(_grid(u), model, tau, mollify_eps)
-    return u * kernel.phase(u.real**2 + u.imag**2)
+    return u * kernel.phase(s)
 
 
 def _step_index(t: float, tau: float, what: str) -> int:
