@@ -408,6 +408,14 @@ class TestStrangStep:
         idx = {k: i for i, k in enumerate(grid.wavenumbers)}
         assert c[idx[5]] < 1e-15
 
+    def test_krasny_step_keeps_a_zero_or_nan_spectrum(self, grid):
+        # a zero or NaN peak gives a floor that no mode lies below
+        zero = np.zeros(grid.n_points, dtype=complex)
+        assert np.array_equal(one_step(MODEL, zero, 1e-3, krasny_delta=1e-6), zero)
+        with np.errstate(invalid="ignore"):
+            out = one_step(MODEL, np.full(grid.n_points, np.nan + 0j), 1e-3, krasny_delta=1e-6)
+        assert np.isnan(out).all()
+
 
 class TestStepperConfigValidation:
     def test_rejects_zero_tau(self):
