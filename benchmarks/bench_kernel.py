@@ -13,7 +13,8 @@ potential V of the run's final state.
 The JSON written to --out holds every repeat, the median and quartiles of
 each side, the median ratio base/head, for the step and for the phase, the
 commit of each tree, and the machine (with numpy's SIMD dispatch), Python
-and numpy versions.
+and numpy versions.  Both commits are resolved before the first run, and a
+base outside a git work tree exits 2.
 """
 
 from __future__ import annotations
@@ -106,12 +107,31 @@ def numpy_simd() -> dict:
 
 
 def commit(src: Path) -> str:
-    """`git describe` of the tree holding src ("-dirty" marks local edits)."""
+    """`git describe` of the tree holding src ("-dirty" marks local edits).
+
+    Raises ValueError when src is not inside a git work tree, such as a
+    `git archive` export, whose commit no record could name.
+    """
     out = subprocess.run(
         ["git", "-C", str(src), "describe", "--always", "--dirty"],
         capture_output=True, text=True,
     )
-    return out.stdout.strip() or "unknown"
+    if out.returncode != 0:
+        raise ValueError(
+            f"{src} is not inside a git work tree, so its commit cannot be named; "
+            "make the base with `git clone` or `git worktree add --detach` "
+            "(both work offline)"
+        )
+    return out.stdout.strip()
+
+
+def commits(parser: argparse.ArgumentParser, base: Path) -> dict:
+    """The base and head commits, resolved before any run: a base whose
+    commit cannot be named is a usage error (exit 2)."""
+    try:
+        return {"base_commit": commit(base), "head_commit": commit(ROOT)}
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def numpy_version() -> str:
@@ -120,8 +140,9 @@ def numpy_version() -> str:
     return numpy.__version__
 
 
-def compare(base_src: Path) -> dict:
-    """Time base_src against this checkout's src/; the record --out holds."""
+def compare(base_src: Path, provenance: dict) -> dict:
+    """Time base_src against this checkout's src/; the record --out holds,
+    with the commits in provenance."""
     head_src = ROOT / "src"
     runs = {n: {"base": [], "head": []} for n in STEPS}
     phase_runs = {n: {"base": [], "head": []} for n in STEPS}
@@ -159,8 +180,7 @@ def compare(base_src: Path) -> dict:
                   "microseconds per call, median of repeats",
         "workload": {"model": "pseudo_attractive", "ic": "Gaussian(0.2, 0.2)",
                      "tau": TAU, "record_every": 100},
-        "base_commit": commit(base_src),
-        "head_commit": commit(head_src),
+        **provenance,
         "repeats": REPEATS,
         "machine": machine(),
         "python": platform.python_version(),
@@ -175,7 +195,8 @@ def main() -> int:
                         help="src/ directory of the tree to compare against")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_kernel.json")
     args = parser.parse_args()
-    args.out.write_text(json.dumps(compare(args.base), indent=2) + "\n")
+    provenance = commits(parser, args.base)
+    args.out.write_text(json.dumps(compare(args.base, provenance), indent=2) + "\n")
     return 0
 
 

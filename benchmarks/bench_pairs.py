@@ -22,7 +22,9 @@ the metric's better direction, exceeds that distance.  `--control` runs a
 second workload the same way, with no claim, under the key "control"
 (it needs its own `--control-seeds`), and
 `--kernel` adds `benchmarks/bench_kernel.py`'s microseconds per step of
-both src/ trees under the key "kernel".
+both src/ trees under the key "kernel".  The base must be a git checkout
+(`git clone`, or `git worktree add --detach`): both commits are resolved
+before the first run, and a base outside a git work tree exits 2.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bench_kernel import commit, compare, machine, numpy_version
+from bench_kernel import commits, compare, machine, numpy_version
 
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = {
@@ -145,12 +147,12 @@ def main() -> int:
     args = parser.parse_args()
     if (args.control is None) != (args.control_seeds is None):
         parser.error("--control and --control-seeds must be given together")
+    provenance = commits(parser, args.base)
 
     report = {"change": args.change,
               **pairs(args.base, args.workload, args.seeds, args.seconds, args.claim)}
     report.update(
-        base_commit=commit(args.base),
-        head_commit=commit(ROOT),
+        **provenance,
         machine=machine(),
         python=platform.python_version(),
         numpy=numpy_version(),
@@ -160,7 +162,7 @@ def main() -> int:
             args.base, args.control, args.control_seeds, args.seconds, None
         )
     if args.kernel:
-        report["kernel"] = compare(args.base / "src")
+        report["kernel"] = compare(args.base / "src", provenance)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
 

@@ -51,7 +51,6 @@ from .model import (
     ModelSpec,
     MultiMode,
     Perturbation,
-    PlaneWave,
 )
 from .spectral import GridSpec, h1_seminorm, l2_norm
 from .splitting import (
@@ -86,7 +85,6 @@ _MODELS = {
 # ic_kind -> (initial condition class, the config field giving its shape)
 _IC_KINDS = {
     "gaussian": (Gaussian, "width"),
-    "plane_wave": (PlaneWave, "wavenumber"),
     "multi_mode": (MultiMode, "wavenumbers"),
 }
 
@@ -199,7 +197,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.model not in _MODELS:
         raise ValueError(f"unknown model {cfg.model!r}; choose from {sorted(_MODELS)}")
     if cfg.ic_kind not in _IC_KINDS:
-        raise ValueError(f"unknown ic_kind {cfg.ic_kind!r}")
+        raise ValueError(f"unknown ic_kind {cfg.ic_kind!r}; choose from {sorted(_IC_KINDS)}")
     if cfg.t_final <= 0:
         raise ValueError(f"t_final must be finite and positive, got {cfg.t_final}")
     if cfg.n_steps < 1:
@@ -524,9 +522,6 @@ def main(argv: list[str] | None = None) -> int:
         reads = required + reads + ((_IC_KINDS[cfg.ic_kind][1],) if "ic_kind" in reads else ())
         changed = [name for name in _FIELD_TYPES if name not in reads
                    and getattr(cfg, name) not in (None, getattr(_DEFAULTS, name))]
-        # ic_kind may also name the plane wave that planewave_check steps
-        if command == "planewave_check" and cfg.ic_kind == "plane_wave":
-            changed.remove("ic_kind")
         if changed:
             raise ValueError(f"{command} does not read {', '.join(changed)}; unset them")
         # each command reports a non-finite result itself; numpy would only warn first

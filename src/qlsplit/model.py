@@ -6,7 +6,9 @@ The equation family is
 
 with polynomial f and g.  ``sign = +1`` selects the pseudo-attractive
 superfluid thin-film model, ``-1`` the superfluid thin-film model and
-``0`` the plain cubic equation (quasilinear term switched off).
+``0`` the plain cubic equation (quasilinear term switched off).  The
+quasilinear term vanishes at constant modulus, so a wave train a e^{ikx}
+has the frequency k^2 + f(a^2).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .spectral import GridSpec
 
@@ -21,7 +24,6 @@ __all__ = [
     "ModelSpec",
     "Perturbation",
     "Gaussian",
-    "PlaneWave",
     "MultiMode",
     "InitialCondition",
     "exact_plane_wave",
@@ -91,15 +93,6 @@ class Gaussian:
 
 
 @dataclass(frozen=True)
-class PlaneWave:
-    """u(0, x) = a * exp(i k x)."""
-
-    amplitude: float
-    wavenumber: int
-    perturbation: Perturbation | None = None
-
-
-@dataclass(frozen=True)
 class MultiMode:
     """u(0, x) = a * sum_j exp(i k_j x) with 0 <= k_1 < ... < k_j."""
 
@@ -120,7 +113,7 @@ class MultiMode:
         object.__setattr__(self, "wavenumbers", tuple(map(int, ks)))
 
 
-InitialCondition = Gaussian | PlaneWave | MultiMode
+InitialCondition = Gaussian | MultiMode
 
 
 def _check_mode(k: int, grid: GridSpec, what: str) -> None:
@@ -131,12 +124,14 @@ def _check_mode(k: int, grid: GridSpec, what: str) -> None:
         )
 
 
-def exact_plane_wave(a: float, k: int, t: float, grid: GridSpec) -> np.ndarray:
-    """Wave train a*exp(i(kx - omega t)) with dispersion omega = k^2 + a^2."""
+def exact_plane_wave(a: float, k: int, t: float, grid: GridSpec,
+                     model: ModelSpec = ModelSpec()) -> np.ndarray:
+    """Wave train a*exp(i(kx - omega t)) of the model, omega = k^2 + f(a^2)."""
     _check_mode(k, grid, "plane-wave wavenumber")
-    phase = (k * k + a * a) * t
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite phase raises below
+        phase = (k * k + P.polyval(a * a, model.f_coeffs)) * t
     if not np.isfinite(phase):
-        raise ValueError(f"plane-wave phase (k^2 + a^2) t is not finite at a = {a}, t = {t}")
+        raise ValueError(f"plane-wave phase (k^2 + f(a^2)) t is not finite at a = {a}, t = {t}")
     return a * np.exp(1j * (k * grid.nodes - phase))
 
 
@@ -146,14 +141,9 @@ def build_initial_condition(ic: InitialCondition, grid: GridSpec) -> np.ndarray:
     if isinstance(ic, Gaussian):
         with np.errstate(over="ignore"):  # a subnormal 2 width^2 sends x^2 / (2 width^2) to inf
             u = ic.amplitude * np.exp(-(x**2) / (2.0 * ic.width**2)).astype(complex)
-    elif isinstance(ic, PlaneWave):
-        u = ic.amplitude * exact_plane_wave(1.0, ic.wavenumber, 0.0, grid)
     elif isinstance(ic, MultiMode):
-        for k in ic.wavenumbers:
-            _check_mode(k, grid, "multi-mode wavenumber")
-        u = ic.amplitude * np.sum(
-            np.exp(1j * np.outer(ic.wavenumbers, x)), axis=0
-        )
+        u = ic.amplitude * np.sum([exact_plane_wave(1.0, k, 0.0, grid)
+                                   for k in ic.wavenumbers], axis=0)
     else:
         raise TypeError(f"unknown initial condition type {type(ic).__name__}")
     if ic.perturbation is not None:

@@ -123,7 +123,7 @@ class SimulationRecord:
 
     @property
     def min_ellipticity(self) -> np.ndarray:
-        """min_j (1 - 2|u_j|^2), derived from max_amplitude: 1 - 2 max_j |u_j|^2."""
+        """1 - 2 max|u|^2: the pseudo-attractive model's indicator, no verdict on other models."""
         return 1.0 - 2.0 * self.max_amplitude * self.max_amplitude
 
 
@@ -384,7 +384,7 @@ def planewave_deviation(
     modulus for phase on the stable side and swing far above its start;
     the modulus seed starts at the top of that exchange.
 
-    Returns (max L2 deviation from the exact wave train over all steps,
+    Returns (max L2 deviation from the model's exact wave train over all steps,
     growth factor of the squared-L2 perturbation energy relative to t=0).
     A march that turns non-finite stops there with max deviation math.inf.
     The growth factor is None when the start has no finite, nonzero
@@ -394,7 +394,7 @@ def planewave_deviation(
     when k or a sideband of the perturbation is not representable on the
     grid, when m = k: at xi = m - k = 0 the seed is no sideband but a
     change of the carrier's own amplitude, and when the exact wave's phase
-    (k^2 + a^2) t is not finite.
+    (k^2 + f(a^2)) t is not finite.
     """
     _check_positive("tau", tau)
     if not n_steps >= 1:
@@ -414,7 +414,7 @@ def planewave_deviation(
 
     max_dev = 0.0
     for n, f, _ in _StepKernel(grid, model, tau).march(u0, n_steps):
-        exact = exact_plane_wave(a, k, n * tau, grid)
+        exact = exact_plane_wave(a, k, n * tau, grid, model)
         dev = l2_norm(np.fft.ifft(f) - exact)
         max_dev = max(max_dev, dev) if math.isfinite(dev) else math.inf
         if max_dev == math.inf:

@@ -1,5 +1,6 @@
 """benchmarks/bench_pairs.py: argument rules and the per-metric summary."""
 
+import importlib
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -76,3 +77,26 @@ def test_numpy_simd_fallbacks(bench_pairs, monkeypatch, umath, simd):
     monkeypatch.setitem(sys.modules, "numpy._core._multiarray_umath", None)
     monkeypatch.setitem(sys.modules, "numpy.core._multiarray_umath", umath)
     assert bench_pairs.machine()["numpy_simd"] == simd
+
+
+@pytest.mark.parametrize("script", ["bench_pairs", "bench_kernel"])
+def test_base_outside_git_rejected_before_any_run(monkeypatch, tmp_path, capsys, script):
+    # a `git archive` export has no commit to name; both commits are resolved first
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    module = importlib.import_module(script)
+
+    def refuse(*args):
+        raise AssertionError("no run may start")
+
+    monkeypatch.setattr(module, "run_once" if script == "bench_pairs" else "time_step", refuse)
+    out = tmp_path / "bench.json"
+    argv = ["--base", str(tmp_path), "--out", str(out)]
+    if script == "bench_pairs":
+        argv += ["--workload", "stability-scan", "--seeds", "1-2"]
+    monkeypatch.setattr(sys, "argv", [f"{script}.py", *argv])
+    with pytest.raises(SystemExit) as exc:
+        module.main()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not inside a git work tree" in err and "git clone" in err
+    assert not out.exists()

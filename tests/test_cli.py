@@ -24,7 +24,7 @@ from qlsplit.cli import (
     main,
     parse_config,
 )
-from qlsplit.model import Gaussian, ModelSpec
+from qlsplit.model import Gaussian, InitialCondition, ModelSpec
 from qlsplit.spectral import GridSpec, h1_seminorm, l2_norm
 from qlsplit.splitting import StepperConfig, run_simulation
 from qlsplit.stability import gn_eigenvalues
@@ -137,6 +137,24 @@ class TestValidation:
         rc = main(["simulate", "--config", write_config(tmp_path, cfg)])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("source", ["flag", "json"])
+    def test_plane_wave_ic_kind_is_unknown(self, tmp_path, capsys, source):
+        # a plane wave is the multi_mode of one wavenumber; it has no second spelling
+        if source == "flag":
+            argv = ["simulate", *SMALL_RUN, "--ic-kind", "plane_wave", "--wavenumber", "1"]
+        else:
+            cfg = ExperimentConfig(n_points=64, n_steps=10, t_final=0.01, ic_kind="plane_wave")
+            argv = ["simulate", "--config", write_config(tmp_path, cfg)]
+        assert main([*argv, "--output", str(tmp_path / "r")]) == EXIT_CONFIG
+        assert ("unknown ic_kind 'plane_wave'; choose from ['gaussian', 'multi_mode']"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.glob("r*"))
+
+    def test_one_ic_kind_per_initial_condition_class(self):
+        classes = [kind for kind, _ in _IC_KINDS.values()]
+        assert len(set(classes)) == len(classes)
+        assert set(classes) == set(typing.get_args(InitialCondition))
+
     def test_unwritable_output(self, tmp_path):
         cfg = ExperimentConfig(output="/no/such/dir/run")
         rc = main(["simulate", "--config", write_config(tmp_path, cfg)])
@@ -226,8 +244,8 @@ PLANE_WAVE_200 = [*PLANE_WAVE, "--n-steps", "200", "--t-final", "0.2"]
     *[pytest.param(["converge", "--n-points", "64", *LADDER, "--nt-ladder", ladder], None,
                    id=f"converge-nt-ladder-{ladder}") for ladder in ("10,10", "0,10")],
     pytest.param(["simulate", *SMALL_RUN, "--ic-kind", "sech"], None, id="unknown-ic-kind"),
-    pytest.param(["simulate", *SMALL_RUN, "--ic-kind", "plane_wave"], None,
-                 id="plane-wave-without-wavenumber"),
+    pytest.param(["simulate", *SMALL_RUN, "--ic-kind", "multi_mode"], None,
+                 id="multi-mode-without-wavenumbers"),
     # a perturbation amplitude without a mode used to be dropped silently
     pytest.param(["simulate", *SMALL_RUN, "--perturbation-amplitude", "0.5"], None,
                  id="simulate-perturbation-amplitude-without-mode"),
@@ -286,7 +304,7 @@ PLANE_WAVE_200 = [*PLANE_WAVE, "--n-steps", "200", "--t-final", "0.2"]
     pytest.param([*PLANE_WAVE, "--t-final", "inf"], None, id="planewave-inf-t-final"),
     pytest.param([*PLANE_WAVE, "--amplitude", "nan"], None,
                  id="planewave-nan-amplitude"),
-    # (k^2 + a^2) t is inf * 0 at t = 0: the exact wave train has no phase
+    # (k^2 + f(a^2)) t is inf * 0 at t = 0: the exact wave train has no phase
     pytest.param([*PLANE_WAVE, "--amplitude", "1e200"], None,
                  id="planewave-carrier-phase-overflow"),
     pytest.param([*PLANE_WAVE, "--perturbation-amplitude", "nan"], None,
@@ -519,13 +537,13 @@ class TestConverge:
         # constant carrier's differences are constant in x: their H1 seminorm
         # is exactly 0 while the L2 error of a = 5 is roundoff above 1e-13
         configs = [
-            dict(model="cubic", amplitude=0.01, wavenumber=1, t_final=0.1,
+            dict(model="cubic", amplitude=0.01, wavenumbers=(1,), t_final=0.1,
                  reference_n_steps=160),
-            dict(amplitude=5.0, wavenumber=0, t_final=1.0, reference_n_steps=80),
+            dict(amplitude=5.0, wavenumbers=(0,), t_final=1.0, reference_n_steps=80),
         ]
         for i, fields in enumerate(configs):
             out = str(tmp_path / f"exact{i}")
-            cfg = ExperimentConfig(n_points=64, ic_kind="plane_wave",
+            cfg = ExperimentConfig(n_points=64, ic_kind="multi_mode",
                                    nt_ladder=(10, 20, 40), output=out, **fields)
             rc = main(["converge", "--config", write_config(tmp_path, cfg)])
             assert rc == EXIT_OK, fields
@@ -767,7 +785,7 @@ class TestPlanewaveCheck:
     def test_exactness_and_report(self, tmp_path):
         out = str(tmp_path / "pw")
         cfg = ExperimentConfig(
-            n_points=64, ic_kind="plane_wave", amplitude=0.5, wavenumber=1,
+            n_points=64, amplitude=0.5, wavenumber=1,
             n_steps=200, t_final=0.2, perturbation_mode=2, output=out,
         )
         rc = main(["planewave-check", "--config", write_config(tmp_path, cfg)])
@@ -816,8 +834,7 @@ class TestPlanewaveCheck:
         assert not list(tmp_path.glob("pw*"))
 
     def test_unread_fields_at_their_defaults_pass(self, tmp_path):
-        # ic_kind may name the plane wave the check steps
-        rc = main([*PLANE_WAVE, "--ic-kind", "plane_wave", "--width", "0.2",
+        rc = main([*PLANE_WAVE, "--ic-kind", "gaussian", "--width", "0.2",
                    "--record-every", "100", "--output", str(tmp_path / "pw")])
         assert rc == EXIT_OK
         # or they may be unset

@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "ModelSpec",
     "MultiMode",
     "Perturbation",
-    "PlaneWave",
     "SimulationRecord",
     "StepperConfig",
     "build_initial_condition",

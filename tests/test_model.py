@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from qlsplit import (
     Gaussian,
@@ -9,7 +10,6 @@ from qlsplit import (
     ModelSpec,
     MultiMode,
     Perturbation,
-    PlaneWave,
     StepperConfig,
     build_initial_condition,
     exact_plane_wave,
@@ -30,12 +30,12 @@ def potential(model, u):
 def pde_residual(model, a, k, grid):
     """L2 residual of the wave train inserted into the discretized equation.
 
-    For the exact dispersion relation omega = k^2 + a^2 the residual is
-    roundoff-level: a cross-check of the potential and the dispersion
+    For the model's dispersion relation omega = k^2 + f(a^2) the residual
+    is roundoff-level: a cross-check of the potential and the dispersion
     convention.
     """
     u = exact_plane_wave(a, k, 0.0, grid)
-    omega = k * k + a * a
+    omega = k * k + P.polyval(a * a, model.f_coeffs)
     rhs = -spectral_derivative(u, 2) + potential(model, u) * u
     return l2_norm(rhs - omega * u)
 
@@ -108,7 +108,7 @@ class TestExactPlaneWave:
         assert np.allclose(f, 0.5 * np.exp(3j * grid.nodes), atol=1e-14)
 
     def test_dispersion_relation(self, grid):
-        # omega = k^2 + a^2: at a=1, k=1 the phase advances by omega*t = 2t
+        # omega = k^2 + f(a^2) = k^2 + a^2: at a=1, k=1 the phase advances by omega*t = 2t
         t = 0.25
         f = exact_plane_wave(1.0, 1, t, grid)
         expected = np.exp(1j * (grid.nodes - 2.0 * t))
@@ -124,6 +124,23 @@ class TestExactPlaneWave:
         grid = GridSpec(64)
         assert pde_residual(ModelSpec.thin_film(), 0.6, 2, grid) < 1e-10
         assert pde_residual(ModelSpec.cubic_nls(), 0.6, 2, grid) < 1e-10
+        # omega = k^2 + a^2 would leave residuals of 0.54 and 0.097 here
+        assert pde_residual(ModelSpec(f_coeffs=(0, 2), quasilinear_sign=0), 0.6, 2, grid) < 1e-10
+        assert pde_residual(ModelSpec(f_coeffs=(0, 1, 0.5), g_coeffs=(0, 1, 0.3)),
+                            0.6, 2, grid) < 1e-10
+
+    @pytest.mark.parametrize("model", [
+        ModelSpec(f_coeffs=(0, 2), quasilinear_sign=0),
+        ModelSpec(f_coeffs=(0.25, 1, 0.5), g_coeffs=(0, 1, 0.3)),
+    ], ids=["f-2s", "f-quarter-s-half-s2"])
+    def test_frequency_reads_the_model(self, grid, model):
+        a, k, t = 0.5, 1, 0.75
+        omega = k * k + P.polyval(a * a, model.f_coeffs)
+        expected = a * np.exp(1j * (k * grid.nodes - omega * t))
+        assert np.array_equal(exact_plane_wave(a, k, t, grid, model), expected)
+        # at t = 0 the model does not enter
+        assert np.array_equal(exact_plane_wave(a, k, 0.0, grid, model),
+                              exact_plane_wave(a, k, 0.0, grid))
 
     def test_unrepresentable_wavenumber(self, grid):
         with pytest.raises(ValueError):
@@ -132,7 +149,7 @@ class TestExactPlaneWave:
         for k in (1.5, np.float64(-0.25), np.nan, np.inf):
             with pytest.raises(ValueError):
                 exact_plane_wave(0.5, k, 0.0, grid)
-        # (k^2 + a^2) t overflows, or is inf * 0 = nan at t = 0
+        # (k^2 + f(a^2)) t overflows, or is inf * 0 = nan at t = 0
         for a, t in ((1e200, 0.0), (1e200, 1.0), (1e154, 1e10), (0.5, np.inf)):
             with pytest.raises(ValueError, match="phase"):
                 exact_plane_wave(a, 1, t, grid)
@@ -152,14 +169,30 @@ class TestInitialConditions:
         f = build_initial_condition(MultiMode(0.65, (2, 8)), grid)
         assert np.abs(f).max() == pytest.approx(1.3, rel=1e-12)
 
+    @pytest.mark.parametrize("n_points", [32, 64, 256, 1024, 4096])
+    def test_multimode_samples_through_exact_plane_wave(self, n_points):
+        # bit for bit, signed zeros included, the sum of unit wave trains and
+        # the outer-product sampler it replaced; one wavenumber is a plane wave
+        grid = GridSpec(n_points)
+        cases = [(0.65, (2, 8)), (0.3, (0, 1, 2, 3)), (1.0, (5,)), (0.5, (0,)),
+                 (1e-3, (1, 3, n_points // 2 - 1))]
+        for a, ks in cases:
+            u = build_initial_condition(MultiMode(a, ks), grid)
+            waves = [exact_plane_wave(1.0, k, 0.0, grid) for k in ks]
+            outer = a * np.sum(np.exp(1j * np.outer(ks, grid.nodes)), axis=0)
+            for expected in (a * np.sum(waves, axis=0), outer):
+                assert u.tobytes() == expected.tobytes(), (a, ks)
+            if len(ks) == 1:
+                assert u.tobytes() == (a * waves[0]).tobytes(), (a, ks)
+
     def test_plane_wave_constant_modulus(self, grid):
         a = np.sqrt(2) / 2 + 1e-8
-        f = build_initial_condition(PlaneWave(a, 1), grid)
+        f = build_initial_condition(MultiMode(a, (1,)), grid)
         assert np.allclose(np.abs(f), a, atol=1e-14)
 
     def test_perturbation_seeds_one_mode(self, grid):
         pert = Perturbation(mode=5, amplitude=1e-6)
-        f = build_initial_condition(PlaneWave(0.5, 1, perturbation=pert), grid)
+        f = build_initial_condition(MultiMode(0.5, (1,), perturbation=pert), grid)
         c = spectrum(f)
         idx = {k: i for i, k in enumerate(grid.wavenumbers)}
         assert c[idx[5]] == pytest.approx(1e-6, rel=1e-10)
@@ -181,15 +214,14 @@ class TestInitialConditions:
         with pytest.raises(TypeError, match="unknown initial condition type"):
             build_initial_condition(Perturbation(mode=1), grid)
         with pytest.raises(ValueError):
-            build_initial_condition(PlaneWave(0.5, grid.n_points), grid)
+            build_initial_condition(MultiMode(0.5, (grid.n_points,)), grid)
         with pytest.raises(ValueError):
             build_initial_condition(
-                PlaneWave(0.5, 1, perturbation=Perturbation(mode=grid.n_points)), grid
+                MultiMode(0.5, (1,), perturbation=Perturbation(mode=grid.n_points)), grid
             )
         # wavenumbers are integers; numpy integers are integers too
-        for ic in (PlaneWave(0.5, 1.5), PlaneWave(0.5, 1, perturbation=Perturbation(2.5))):
-            with pytest.raises(ValueError, match="integer"):
-                build_initial_condition(ic, grid)
+        with pytest.raises(ValueError, match="integer"):
+            build_initial_condition(MultiMode(0.5, (1,), perturbation=Perturbation(2.5)), grid)
         for ks in [(1.5, 2.7), (1, np.nan), (np.inf,)]:
             with pytest.raises(ValueError, match="integers"):
                 MultiMode(0.3, ks)
@@ -217,7 +249,7 @@ class TestEllipticityIndicator:
         assert initial_min_ellipticity(np.zeros(grid.n_points), grid) == 1.0
 
     def test_threshold_plane_wave(self, grid):
-        mn = initial_min_ellipticity(PlaneWave(np.sqrt(2) / 2, 1), grid)
+        mn = initial_min_ellipticity(MultiMode(np.sqrt(2) / 2, (1,)), grid)
         assert abs(mn) < 1e-14
 
     def test_gaussian_above_and_below(self):

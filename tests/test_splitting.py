@@ -651,6 +651,17 @@ class TestPlanewaveDeviation:
         out = planewave_deviation(a, k, tau, n_steps, grid, model, perturbation)
         assert out == (max_dev, growth)
 
+    @pytest.mark.parametrize("model", [
+        ModelSpec(f_coeffs=(0, 2), quasilinear_sign=0),
+        ModelSpec(f_coeffs=(0, 1, 0.5), g_coeffs=(0, 1, 0.3)),
+    ], ids=["f-2s", "f-s-half-s2"])
+    def test_custom_f_wave_train_is_exact(self, model):
+        # the wave train turns at k^2 + f(a^2); measured against k^2 + a^2
+        # these marches used to deviate by 0.3125 and 0.0392
+        max_dev, growth = planewave_deviation(0.5, 1, 1e-3, 1000, GridSpec(64), model)
+        assert max_dev < 1e-11
+        assert growth is None
+
     def test_nonfinite_march_reads_inf(self):
         # |u|^2 overflows, the potential turns inf and the state nan in the
         # first kick; a nan deviation used to drop out of the max
