@@ -17,8 +17,10 @@ the base's interquartile distance exceeds `bound` times its median, so
 that the runs spread too widely to tell a change of the bound's size,
 unless every head run beats every base run.  For the `--claim` metric
 it also holds the median gain next to the base's interquartile distance,
-and `met`: the change won at least 9 of 10 pairs and its median gain, in
-the metric's better direction, exceeds that distance.  `--control` runs a
+and `met`: the change won at least 9 of 10 pairs, its median gain, in
+the metric's better direction, exceeds that distance, and its runs failed
+no more operations than the base's.  A claim needs at least 10 pairs;
+`--claim` with fewer seeds exits 2 before any run.  `--control` runs a
 second workload the same way, with no claim, under the key "control"
 (it needs its own `--control-seeds`), and
 `--kernel` adds `benchmarks/bench_kernel.py`'s microseconds per step of
@@ -40,6 +42,7 @@ from pathlib import Path
 from bench_kernel import commits, compare, machine, numpy_version
 
 ROOT = Path(__file__).resolve().parent.parent
+CLAIM_PAIRS = 10
 END_TO_END = {
     m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 }
@@ -118,12 +121,14 @@ def pairs(base: Path, workload: str, seeds: list[int], seconds: float,
         gain = m["head"]["median"] - m["base"]["median"]
         base_iqr = m["base"]["q3"] - m["base"]["q1"]
         sign = 1 if END_TO_END[claim]["better"] == "higher" else -1
+        failed = {side: sum(r["failed"] for r in results[side]) for side in sides}
         record["claim"] = {
             "metric": claim,
             "head_wins": m["head_wins"],
             "median_gain": gain,
             "base_iqr": base_iqr,
-            "met": m["head_wins"] >= 0.9 * len(seeds) and sign * gain > base_iqr,
+            "met": (m["head_wins"] >= 0.9 * len(seeds) and sign * gain > base_iqr
+                    and failed["head"] <= failed["base"]),
         }
     return record
 
@@ -147,6 +152,8 @@ def main() -> int:
     args = parser.parse_args()
     if (args.control is None) != (args.control_seeds is None):
         parser.error("--control and --control-seeds must be given together")
+    if args.claim is not None and len(args.seeds) < CLAIM_PAIRS:
+        parser.error(f"--claim needs at least {CLAIM_PAIRS} seeds, got {len(args.seeds)}")
     provenance = commits(parser, args.base)
 
     report = {"change": args.change,

@@ -52,12 +52,9 @@ class StepperConfig:
     would switch its guard off.
 
     The blow-up guard trips when the maximum amplitude exceeds
-    ``blowup_factor`` times its initial value or turns non-finite.  It
-    reads max |u|^2 at each step's phase kick, where the state has flown
-    half the step (the kick leaves |u| unchanged at every node), and max
-    |u| of every t_n state the run builds: record strides, snapshots and
-    the last step.  A trip during step n is reported at t_n.  A record
-    stride whose energy is not finite trips it too, as "nonfinite".
+    ``blowup_factor`` times its initial value or turns non-finite (where
+    it reads is set out in ``run_simulation``).  A record stride whose
+    energy is not finite trips it too, as "nonfinite".
     ``energy_guard_factor`` optionally adds an instability
     trigger on the conserved energy: the run halts when, on a record
     stride, |E(t) - E(0)| exceeds the factor times (|E(0)| + M(0)).  This
@@ -107,12 +104,17 @@ class BlowupReport:
 
 @dataclass
 class SimulationRecord:
-    """Diagnostics series (min_ellipticity derived), snapshots, blow-up report."""
+    """Diagnostics series, snapshots, blow-up report.
+
+    ``min_ellipticity`` is the minimum over nodes of 1 - 2 sign s g'(s)^2
+    at s = |u|^2: the equation is elliptic where it is positive.
+    """
 
     times: np.ndarray
     max_amplitude: np.ndarray
     mass: np.ndarray
     energy: np.ndarray
+    min_ellipticity: np.ndarray
     final_field: np.ndarray
     snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
     blowup: BlowupReport | None = None
@@ -121,22 +123,16 @@ class SimulationRecord:
     def blew_up(self) -> bool:
         return self.blowup is not None
 
-    @property
-    def min_ellipticity(self) -> np.ndarray:
-        """1 - 2 max|u|^2: the pseudo-attractive model's indicator, no verdict on other models."""
-        return 1.0 - 2.0 * self.max_amplitude * self.max_amplitude
-
 
 class _StepKernel:
     """The Strang step on raw (unnormalized) FFT arrays.
 
     All per-step operations are either diagonal in k or pointwise in x, so
-    normalization and the node-origin phase drop out.  The step is built
-    around ``kick``, which takes a spectrum that has already flown its
-    leading half step.  Adjacent half flights of consecutive steps are one
-    multiplication by ``half_kick`` each, so a run of steps costs one
-    ``kick`` plus one multiplication per step, and the physical state is
-    transformed back only where it is needed; ``march`` is that loop.
+    normalization and the node-origin phase drop out.  ``march`` is the one
+    loop of steps.  Adjacent half flights of consecutive steps are one
+    multiplication by ``half_kick`` each, the cutoff folded into the
+    trailing one (``flight``), and the physical state is transformed back
+    only where it is needed.
     """
 
     def __init__(
@@ -156,9 +152,11 @@ class _StepKernel:
         self.tau = tau
         self.neg_k2 = -grid._k_squared[: n // 2 + 1]  # rfft half spectrum, Nyquist kept
         self.half_kick = np.exp(-1j * grid._k_squared * (tau / 2.0))
-        self.moll_weights = _filter_weights(grid, mollify_eps, dealias)
+        weights = _filter_weights(grid, mollify_eps, dealias)
+        # W is 0 or 1, so W * half_kick cuts and flies each mode exactly
+        self.flight = self.half_kick if weights is None else weights * self.half_kick
         self.krasny_delta = krasny_delta
-        mult = 1.0 if self.moll_weights is None else self.moll_weights[: n // 2 + 1]
+        mult = 1.0 if weights is None else weights[: n // 2 + 1]
         # f(s) = g(s) = s, as in every preset: V = s + sign * s_xx, so the
         # potential and its filter are one multiplier W * (1 - sign * k^2)
         self._linear = model.f_coeffs == model.g_coeffs == (0.0, 1.0)
@@ -188,31 +186,24 @@ class _StepKernel:
         np.subtract(d, 1.0, out=phase.real, where=d < 1.0)  # and d - 1 where cos < 0
         return phase
 
-    def kick(self, f_half: np.ndarray) -> tuple[np.ndarray, float]:
-        """Phase kick, filters and trailing half flight of one step.
-
-        ``f_half`` is the spectrum after the step's leading half flight.
-        Returns the spectrum at the end of the step and max |u|^2 over the
-        nodes during the kick, which leaves |u| unchanged at every node.
-        """
-        u = np.fft.ifft(f_half)
-        s = u.real**2 + u.imag**2
-        u *= self.phase(s)
-        f_new = np.fft.fft(u)
-        if self.moll_weights is not None:
-            f_new *= self.moll_weights
-        f_new *= self.half_kick
-        if self.krasny_delta is not None:
-            mags = np.abs(f_new)  # a zero or NaN peak zeroes no mode
-            f_new[mags < self.krasny_delta * mags.max()] = 0.0
-        return f_new, float(s.max())
-
     def march(self, u0: np.ndarray, n_steps: int) -> Iterator[tuple[int, np.ndarray, float]]:
-        """Yield (n, raw spectrum at t_n, kick's s_max) for each step from u0."""
+        """Yield (n, raw spectrum at t_n, s_max) for each step from u0.
+
+        s_max is max |u|^2 over the nodes at step n's phase kick, which
+        leaves |u| unchanged at every node.  Each yielded spectrum is a new
+        array that the loop never writes again.
+        """
         f = np.fft.fft(u0) * self.half_kick
         for n in range(1, n_steps + 1):
-            f, s_max = self.kick(f)
-            yield n, f, s_max
+            u = np.fft.ifft(f)
+            s = u.real**2 + u.imag**2
+            u *= self.phase(s)
+            f = np.fft.fft(u)
+            f *= self.flight
+            if self.krasny_delta is not None:
+                mags = np.abs(f)  # a zero or NaN peak zeroes no mode
+                f[mags < self.krasny_delta * mags.max()] = 0.0
+            yield n, f, float(s.max())
             f = f * self.half_kick
 
 
@@ -269,12 +260,13 @@ def run_simulation(
     ``cfg.energy_guard_factor`` set, an energy-drift trip on a record
     stride halts it as well.
 
-    The amplitude guard reads max |u|^2 at each step's phase kick (the
-    kick leaves |u| unchanged at every node) and max |u| of every t_n
-    state the loop builds: record strides, snapshots and the last step.
-    A trip during step n is reported at t_n, with the t_n state as the
-    final field.  Adjacent half flights are fused, so the t_n state is
-    built only where it is recorded, saved or reported.
+    The amplitude guard reads max |u|^2 at each step's phase kick, where
+    the state has flown half the step (the kick leaves |u| unchanged at
+    every node), and max |u| of every t_n state the loop builds: record
+    strides, snapshots and the last step.  A trip during step n is
+    reported at t_n, with the t_n state as the final field.  Adjacent half
+    flights are fused, so the t_n state is built only where it is
+    recorded, saved or reported.
 
     ``t_final`` and every snapshot time must be exact integer multiples of
     ``cfg.tau``, and no two snapshot times may fall on the same step.
@@ -311,19 +303,15 @@ def run_simulation(
         grid, model, cfg.tau, cfg.mollify_eps, cfg.krasny_delta, cfg.dealias
     )
 
-    times: list[float] = []
-    amps: list[float] = []
-    masses: list[float] = []
-    energies: list[float] = []
+    rows: list[tuple[float, float, float, float, float]] = []  # SimulationRecord's series
     snapshots: list[tuple[float, np.ndarray]] = []
     blowup: BlowupReport | None = None
 
     def record(t: float, u: np.ndarray, amp: float) -> float:
-        times.append(t)
-        amps.append(amp)
-        masses.append(diagnostics.mass(u))
+        s = u.real**2 + u.imag**2
+        ell = 1.0 - 2.0 * model.quasilinear_sign * s * P.polyval(s, kernel._gprime) ** 2
         e = diagnostics.energy(u, model)
-        energies.append(e)
+        rows.append((t, amp, diagnostics.mass(u), e, float(ell.min())))
         return e
 
     amp0 = float(np.abs(u0).max())
@@ -331,7 +319,7 @@ def run_simulation(
     energy0 = record(0.0, u0, amp0)
     energy_threshold = math.inf
     if cfg.energy_guard_factor is not None:
-        energy_threshold = cfg.energy_guard_factor * (abs(energy0) + masses[0])
+        energy_threshold = cfg.energy_guard_factor * (abs(energy0) + rows[0][2])
     if 0 in snap_steps:
         snapshots.append((0.0, u0))
 
@@ -356,15 +344,8 @@ def run_simulation(
                 blowup = BlowupReport(onset_time=t, trigger=trigger)
                 break
 
-    return SimulationRecord(
-        times=np.asarray(times),
-        max_amplitude=np.asarray(amps),
-        mass=np.asarray(masses),
-        energy=np.asarray(energies),
-        final_field=u,
-        snapshots=snapshots,
-        blowup=blowup,
-    )
+    series = (np.asarray(column) for column in zip(*rows))
+    return SimulationRecord(*series, final_field=u, snapshots=snapshots, blowup=blowup)
 
 
 def planewave_deviation(

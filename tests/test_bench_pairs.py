@@ -18,21 +18,26 @@ def bench_pairs(monkeypatch):
     return bench_pairs
 
 
-def fake_runs(bench_pairs, monkeypatch, base, head):
+def fake_runs(bench_pairs, monkeypatch, base, head, head_failed=0):
     """run_once reads wall_s from the given lists, one value per seed."""
     def run_once(checkout, workload, seed, seconds):
-        runs = head if checkout == bench_pairs.ROOT else base
-        return {"metrics": {"wall_s": {"value": runs[seed]}}, "failed": 0, "attempted": 1}
+        is_head = checkout == bench_pairs.ROOT
+        runs = head if is_head else base
+        return {"metrics": {"wall_s": {"value": runs[seed]}},
+                "failed": head_failed if is_head else 0, "attempted": 1}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
 
 
-@pytest.mark.parametrize("argv", [
-    ["--seeds", "1-2", "--control", "blowup-n4096"],
-    ["--seeds", "1-2", "--control-seeds", "3-4"],
-    ["--seeds", "5-3"],
-], ids=["control-without-seeds", "seeds-without-control", "empty-range"])
-def test_bad_seeds_rejected_before_any_run(bench_pairs, monkeypatch, tmp_path, argv):
+@pytest.mark.parametrize("argv, error", [
+    (["--seeds", "1-2", "--control", "blowup-n4096"], "must be given together"),
+    (["--seeds", "1-2", "--control-seeds", "3-4"], "must be given together"),
+    (["--seeds", "5-3"], "no seeds in '5-3'"),
+    (["--seeds", "1-3", "--claim", "work_per_s"], "--claim needs at least 10 seeds, got 3"),
+], ids=["control-without-seeds", "seeds-without-control", "empty-range",
+        "claim-under-ten-pairs"])
+def test_bad_seeds_rejected_before_any_run(bench_pairs, monkeypatch, tmp_path, capsys,
+                                           argv, error):
     def run_once(*args):
         raise AssertionError("no pair may run")
 
@@ -44,6 +49,7 @@ def test_bad_seeds_rejected_before_any_run(bench_pairs, monkeypatch, tmp_path, a
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main()
     assert exc.value.code == 2
+    assert error in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -57,6 +63,16 @@ def test_resolved_flag(bench_pairs, monkeypatch, tmp_path, base, head, resolved)
     fake_runs(bench_pairs, monkeypatch, base, head)
     record = bench_pairs.pairs(tmp_path, "stability-scan", [0, 1, 2, 3], 1.0, None)
     assert record["metrics"]["wall_s"]["resolved"] is resolved
+
+
+@pytest.mark.parametrize("head_failed, met", [(0, True), (1, False)])
+def test_claim_met_only_without_more_failures(bench_pairs, monkeypatch, tmp_path,
+                                              head_failed, met):
+    # the head wins all 10 pairs by far more than the base's spread
+    fake_runs(bench_pairs, monkeypatch, [2.0, 2.1] * 5, [1.0, 1.1] * 5, head_failed)
+    record = bench_pairs.pairs(tmp_path, "stability-scan", list(range(10)), 1.0, "wall_s")
+    assert record["claim"]["head_wins"] == 10
+    assert record["claim"]["met"] is met
 
 
 def test_machine_records_numpy_simd_dispatch(bench_pairs):

@@ -47,6 +47,14 @@ def initial_min_ellipticity(ic, grid):
     return rec.min_ellipticity[0]
 
 
+def ellipticity_by_hand(model, u):
+    """min over nodes of 1 - 2 sign s g'(s)^2 at s = |u|^2, g' differentiated by hand."""
+    s = np.abs(u) ** 2
+    c = model.g_coeffs
+    gprime = sum(j * c[j] * s ** (j - 1) for j in range(1, len(c)))
+    return np.min(1 - 2 * model.quasilinear_sign * s * gprime**2)
+
+
 class TestModelSpec:
     def test_presets(self):
         assert ModelSpec.pseudo_attractive().quasilinear_sign == 1
@@ -258,3 +266,33 @@ class TestEllipticityIndicator:
         assert mn == pytest.approx(1 - 2 * 0.65**2, rel=1e-12)
         assert mn > 0
         assert initial_min_ellipticity(Gaussian(0.75, 0.1), grid) < 0
+
+    @pytest.mark.parametrize("model", [ModelSpec.thin_film(), ModelSpec.cubic_nls()],
+                             ids=["thin-film", "cubic"])
+    def test_thin_film_and_cubic_stay_elliptic(self, model):
+        # at a = 0.9 the pseudo-attractive indicator 1 - 2a^2 would read -0.62
+        grid = GridSpec(128)
+        rec = run_simulation(model, MultiMode(0.9, (1, 2)), grid,
+                             StepperConfig(tau=1e-3, record_every=10), 0.05)
+        assert len(rec.times) == 6
+        assert (rec.min_ellipticity >= 1.0).all()
+        if model.quasilinear_sign == 0:
+            assert (rec.min_ellipticity == 1.0).all()
+
+    def test_reads_the_models_g(self):
+        model = ModelSpec(f_coeffs=(0, 1, 0.5), g_coeffs=(0, 1, 0.3))
+        grid = GridSpec(128)
+        u0 = build_initial_condition(Gaussian(0.6, 0.3), grid)
+        rec = run_simulation(model, u0, grid, StepperConfig(tau=1e-3), 0.02)
+        for row, u in [(0, u0), (-1, rec.final_field)]:
+            assert rec.min_ellipticity[row] == pytest.approx(
+                ellipticity_by_hand(model, u), rel=1e-14)
+        # g' = 1 + 0.6 s makes the minimum lower than the preset's 1 - 2 max s
+        assert rec.min_ellipticity[0] < 1 - 2 * 0.36
+
+    def test_pseudo_attractive_is_one_minus_twice_the_peak(self):
+        grid = GridSpec(128)
+        rec = run_simulation(ModelSpec.pseudo_attractive(), Gaussian(0.65, 0.2), grid,
+                             StepperConfig(tau=1e-3, record_every=10), 0.05)
+        expected = 1 - 2 * rec.max_amplitude**2
+        assert np.abs(rec.min_ellipticity - expected).max() <= 1e-15

@@ -247,12 +247,15 @@ class TestStatelessKernel:
         assert np.array_equal(first, kept)
 
     def test_march_never_writes_a_yielded_spectrum(self, grid):
+        # the cutoff and the Krasny floor write in place inside the loop
         u0 = random_field(grid, np.random.default_rng(41), 0.3)
-        kernel = _StepKernel(grid, MODEL, 1e-3, mollify_eps=0.2)
-        copied = [f.copy() for _, f, _ in kernel.march(u0, 5)]
-        listed = [f for _, f, _ in kernel.march(u0, 5)]
-        for f_copy, f_kept in zip(copied, listed, strict=True):
-            assert np.array_equal(f_copy, f_kept)
+        for filters in [{"mollify_eps": 0.2},
+                        {"mollify_eps": 0.2, "dealias": True, "krasny_delta": 1e-3}]:
+            kernel = _StepKernel(grid, MODEL, 1e-3, **filters)
+            copied = [f.copy() for _, f, _ in kernel.march(u0, 5)]
+            listed = [f for _, f, _ in kernel.march(u0, 5)]
+            for f_copy, f_kept in zip(copied, listed, strict=True):
+                assert np.array_equal(f_copy, f_kept)
 
     def test_tau_resonance_number_must_be_finite(self):
         # tau (N/2)^2 = 1.024e309 overflows: the free flight would be NaN
