@@ -52,9 +52,9 @@ class StepperConfig:
     would switch its guard off.
 
     The blow-up guard trips when the maximum amplitude exceeds
-    ``blowup_factor`` times its initial value or turns non-finite (where
-    it reads is set out in ``run_simulation``).  A record stride whose
-    energy is not finite trips it too, as "nonfinite".
+    ``blowup_factor`` times its initial value or turns non-finite;
+    ``run_simulation`` says where it reads the amplitude.  A record
+    stride whose energy is not finite trips it too, as "nonfinite".
     ``energy_guard_factor`` optionally adds an instability
     trigger on the conserved energy: the run halts when, on a record
     stride, |E(t) - E(0)| exceeds the factor times (|E(0)| + M(0)).  This

@@ -270,7 +270,7 @@ class TestEllipticityIndicator:
     @pytest.mark.parametrize("model", [ModelSpec.thin_film(), ModelSpec.cubic_nls()],
                              ids=["thin-film", "cubic"])
     def test_thin_film_and_cubic_stay_elliptic(self, model):
-        # at a = 0.9 the pseudo-attractive indicator 1 - 2a^2 would read -0.62
+        # the pseudo-attractive indicator 1 - 2 max|u|^2 would read negative here
         grid = GridSpec(128)
         rec = run_simulation(model, MultiMode(0.9, (1, 2)), grid,
                              StepperConfig(tau=1e-3, record_every=10), 0.05)
