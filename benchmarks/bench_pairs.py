@@ -18,8 +18,11 @@ that the runs spread too widely to tell a change of the bound's size,
 unless every head run beats every base run.  For the `--claim` metric
 it also holds the median gain next to the base's interquartile distance,
 and `met`: the change won at least 9 of 10 pairs, its median gain, in
-the metric's better direction, exceeds that distance, and its runs failed
-no more operations than the base's.  A claim needs at least 10 pairs;
+the metric's better direction, exceeds that distance, its runs failed
+no more operations than the base's, and both sides ran the same benchmark.
+`bench_digest` holds each side's SHA-256 over `BENCHMARK.json` and every
+file under `perfbench/` but `__pycache__`, by relative path; a claim
+whose digests differ is not met.  A claim needs at least 10 pairs;
 `--claim` with fewer seeds exits 2 before any run.  `--control` runs a
 second workload the same way, with no claim, under the key "control"
 (it needs its own `--control-seeds`), and
@@ -32,6 +35,7 @@ before the first run, and a base outside a git work tree exits 2.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import statistics
@@ -54,6 +58,16 @@ def seed_range(text: str) -> list[int]:
     if not seeds:
         raise argparse.ArgumentTypeError(f"no seeds in {text!r}")
     return seeds
+
+
+def bench_digest(checkout: Path) -> str:
+    """SHA-256 of the benchmark a checkout runs: BENCHMARK.json and perfbench/."""
+    files = [checkout / "BENCHMARK.json", *(checkout / "perfbench").rglob("*")]
+    digest = hashlib.sha256()
+    for path in sorted(p for p in files if p.is_file() and "__pycache__" not in p.parts):
+        name = path.relative_to(checkout).as_posix().encode()
+        digest.update(name + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -111,6 +125,7 @@ def pairs(base: Path, workload: str, seeds: list[int], seconds: float,
         "quartiles": "statistics.quantiles, inclusive method (linear "
                      "interpolation), of the runs per side",
         "metrics": metrics,
+        "bench_digest": {side: bench_digest(sides[side]) for side in sides},
         "failed_attempted": {
             side: [[r["failed"], r["attempted"]] for r in results[side]]
             for side in sides
@@ -122,13 +137,15 @@ def pairs(base: Path, workload: str, seeds: list[int], seconds: float,
         base_iqr = m["base"]["q3"] - m["base"]["q1"]
         sign = 1 if END_TO_END[claim]["better"] == "higher" else -1
         failed = {side: sum(r["failed"] for r in results[side]) for side in sides}
+        same_bench = len(set(record["bench_digest"].values())) == 1
         record["claim"] = {
             "metric": claim,
             "head_wins": m["head_wins"],
             "median_gain": gain,
             "base_iqr": base_iqr,
+            "same_bench": same_bench,
             "met": (m["head_wins"] >= 0.9 * len(seeds) and sign * gain > base_iqr
-                    and failed["head"] <= failed["base"]),
+                    and failed["head"] <= failed["base"] and same_bench),
         }
     return record
 

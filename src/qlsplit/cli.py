@@ -14,14 +14,16 @@ each value is read by its ``ExperimentConfig`` annotation and every float
 must be finite; ``_COMMANDS`` names the fields each subcommand requires
 or reads, and every other field must be unset or keep its default (so
 stability, the pseudo-attractive closed form, keeps model and n_points,
-and planewave-check, on the unfiltered scheme, keeps the filters off);
-``_IC_KINDS`` names the shape field read with each ``ic_kind``.  Every
-stepping run takes tau = t_final / n_steps, converge each nt_ladder entry
-as n_steps, and the stepper every ``StepperConfig`` field but tau from
-the config field of its name.  planewave-check's perturbation of mode m
-seeds the modulus, (a + eps cos((m - k) x)) e^{ikx}, so m and its partner
-2k - m must be representable, and its L2 norm must be more than 100
-times the unperturbed march's max deviation.
+and planewave-check, on the unfiltered scheme, keeps the filters off).
+A run starts from MultiMode(amplitude, wavenumbers) when wavenumbers is
+given, else from Gaussian(amplitude, width); planewave-check's carrier k
+is the one entry of wavenumbers.  Every stepping run takes tau = t_final
+/ n_steps, converge each nt_ladder entry as n_steps, and the stepper
+every ``StepperConfig`` field but tau from the config field of its name.
+planewave-check's perturbation of mode m seeds the modulus,
+(a + eps cos((m - k) x)) e^{ikx}, so m and its partner 2k - m must be
+representable, and its L2 norm must exceed 100 times the unperturbed
+march's max deviation.
 
 Exit codes: 0 success, 2 configuration error (a ValueError, from the rules
 here or from the library on the config's values, or an array too large to
@@ -82,12 +84,6 @@ _MODELS = {
     "cubic": ModelSpec.cubic_nls,
 }
 
-# ic_kind -> (initial condition class, the config field giving its shape)
-_IC_KINDS = {
-    "gaussian": (Gaussian, "width"),
-    "multi_mode": (MultiMode, "wavenumbers"),
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -100,10 +96,8 @@ class ExperimentConfig:
 
     model: str = "pseudo_attractive"
     n_points: int = 256
-    ic_kind: str = "gaussian"
     amplitude: float = 0.2
     width: float | None = 0.2
-    wavenumber: int | None = None
     wavenumbers: tuple[int, ...] | None = None
     perturbation_mode: int | None = None
     perturbation_amplitude: float = 1e-10
@@ -196,8 +190,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     """Single-field rules; each command checks its own cross-field rules."""
     if cfg.model not in _MODELS:
         raise ValueError(f"unknown model {cfg.model!r}; choose from {sorted(_MODELS)}")
-    if cfg.ic_kind not in _IC_KINDS:
-        raise ValueError(f"unknown ic_kind {cfg.ic_kind!r}; choose from {sorted(_IC_KINDS)}")
     if cfg.t_final <= 0:
         raise ValueError(f"t_final must be finite and positive, got {cfg.t_final}")
     if cfg.n_steps < 1:
@@ -214,15 +206,16 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 
 def _build_ic(cfg: ExperimentConfig) -> InitialCondition:
-    kind, shape = _IC_KINDS[cfg.ic_kind]
-    if getattr(cfg, shape) is None:
-        raise ValueError(f"{cfg.ic_kind} initial condition requires {shape}")
+    if cfg.wavenumbers is None and cfg.width is None:
+        raise ValueError("a run's start requires width, or wavenumbers for a multi-mode start")
     pert = None
     if cfg.perturbation_mode is not None:
         pert = Perturbation(cfg.perturbation_mode, cfg.perturbation_amplitude)
     elif cfg.perturbation_amplitude != _DEFAULTS.perturbation_amplitude:
         raise ValueError("perturbation_amplitude requires perturbation_mode")
-    return kind(cfg.amplitude, getattr(cfg, shape), perturbation=pert)
+    if cfg.wavenumbers is None:
+        return Gaussian(cfg.amplitude, cfg.width, perturbation=pert)
+    return MultiMode(cfg.amplitude, cfg.wavenumbers, perturbation=pert)
 
 
 def _run_once(cfg: ExperimentConfig, n_steps: int) -> SimulationRecord:
@@ -415,7 +408,10 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
 
 def cmd_planewave_check(cfg: ExperimentConfig) -> int:
     """Measure split-step exactness on a wave train, plus perturbed growth."""
-    k, n_steps = cfg.wavenumber, cfg.n_steps
+    if len(cfg.wavenumbers) != 1:
+        raise ValueError("planewave_check takes its carrier from wavenumbers, which "
+                         f"must have exactly one entry, got {list(cfg.wavenumbers)}")
+    (k,), n_steps = cfg.wavenumbers, cfg.n_steps
     tau = cfg.t_final / n_steps
     pert = Perturbation(mode=cfg.perturbation_mode, amplitude=cfg.perturbation_amplitude)
     grid = GridSpec(cfg.n_points)
@@ -459,10 +455,10 @@ def cmd_planewave_check(cfg: ExperimentConfig) -> int:
 
 
 # subcommand -> (runner, the fields it requires, the other fields it reads);
-# ic_kind brings its kind's shape field, and every other field must be unset or
-# at its default.  converge sets n_steps and record_every per run and writes no
-# snapshots.  A default perturbation_mode k + 1 would be neutral at every amplitude.
-_RUN = ("model", "n_points", "ic_kind", "amplitude", "perturbation_mode",
+# every other field, and width beside wavenumbers, must be unset or at its default.
+# converge sets n_steps and record_every per run and writes no snapshots.  A
+# default perturbation_mode k + 1 would be neutral at every amplitude.
+_RUN = ("model", "n_points", "amplitude", "width", "wavenumbers", "perturbation_mode",
         "perturbation_amplitude", "t_final", *_STEPPER_FIELDS, "output")
 _COMMANDS = {
     "simulate": (cmd_simulate, (), ("n_steps", *_RUN)),
@@ -470,7 +466,7 @@ _COMMANDS = {
         name for name in _RUN if name not in ("record_every", "snapshot_times"))),
     "stability": (cmd_stability, ("amplitude_grid",),
                   ("xi_max", "growth_tau", "growth_wavenumbers", "output")),
-    "planewave_check": (cmd_planewave_check, ("wavenumber", "perturbation_mode"), (
+    "planewave_check": (cmd_planewave_check, ("wavenumbers", "perturbation_mode"), (
         "model", "n_points", "amplitude", "perturbation_amplitude", "t_final",
         "n_steps", "output")),
 }
@@ -501,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command in _COMMANDS:
-        p = sub.add_parser(command.replace("_", "-"))
+        p = sub.add_parser(command.replace("_", "-"), allow_abbrev=False)  # no prefixes
         p.add_argument("--config", help="path to a JSON experiment config")
         for f in dataclasses.fields(ExperimentConfig):
             # lists are comma-separated, booleans true/false (1/0, yes/no, on/off)
@@ -519,8 +515,9 @@ def main(argv: list[str] | None = None) -> int:
         for name in required:
             if getattr(cfg, name) in (None, ()):  # an empty list is none
                 raise ValueError(f"{command} requires {name}")
-        reads = required + reads + ((_IC_KINDS[cfg.ic_kind][1],) if "ic_kind" in reads else ())
-        changed = [name for name in _FIELD_TYPES if name not in reads
+        if cfg.wavenumbers is not None:  # a multi-mode start reads no width
+            reads = tuple(name for name in reads if name != "width")
+        changed = [name for name in _FIELD_TYPES if name not in required + reads
                    and getattr(cfg, name) not in (None, getattr(_DEFAULTS, name))]
         if changed:
             raise ValueError(f"{command} does not read {', '.join(changed)}; unset them")

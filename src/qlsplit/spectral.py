@@ -28,7 +28,8 @@ class GridSpec:
     Parameters
     ----------
     n_points : int
-        Number of nodes N.  Must be even and >= 8.  Nodes sit at
+        Number of nodes N: even, >= 8 and at most intp max // 16, the
+        complex128 nodes one numpy array can hold.  Nodes sit at
         x_j = -pi + 2*pi*j/N for j = 0..N-1; wavenumbers are the
         integers {-N/2, ..., N/2 - 1} in FFT order.
     """
@@ -39,8 +40,9 @@ class GridSpec:
         n = self.n_points
         if not isinstance(n, (int, np.integer)):
             raise TypeError(f"n_points must be an integer, got {type(n).__name__}")
-        if n < 8 or n % 2 != 0:
-            raise ValueError(f"n_points must be even and >= 8, got {n}")
+        limit = np.iinfo(np.intp).max // 16
+        if not 8 <= n <= limit or n % 2 != 0:
+            raise ValueError(f"n_points must be even, >= 8 and <= {limit}, got {n}")
 
     @cached_property
     def nodes(self) -> np.ndarray:

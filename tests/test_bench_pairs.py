@@ -65,14 +65,43 @@ def test_resolved_flag(bench_pairs, monkeypatch, tmp_path, base, head, resolved)
     assert record["metrics"]["wall_s"]["resolved"] is resolved
 
 
+def checkouts(bench_pairs, monkeypatch, tmp_path, head_run="RUN = 1\n"):
+    """A base and a head checkout holding a benchmark; the head is this tree."""
+    for side, run in (("base", "RUN = 1\n"), ("head", head_run)):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text('{"workloads": []}\n')
+        (tmp_path / side / "perfbench" / "run.py").write_text(run)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path / "head")
+    return tmp_path / "base"
+
+
 @pytest.mark.parametrize("head_failed, met", [(0, True), (1, False)])
 def test_claim_met_only_without_more_failures(bench_pairs, monkeypatch, tmp_path,
                                               head_failed, met):
     # the head wins all 10 pairs by far more than the base's spread
+    base = checkouts(bench_pairs, monkeypatch, tmp_path)
     fake_runs(bench_pairs, monkeypatch, [2.0, 2.1] * 5, [1.0, 1.1] * 5, head_failed)
-    record = bench_pairs.pairs(tmp_path, "stability-scan", list(range(10)), 1.0, "wall_s")
+    record = bench_pairs.pairs(base, "stability-scan", list(range(10)), 1.0, "wall_s")
     assert record["claim"]["head_wins"] == 10
     assert record["claim"]["met"] is met
+
+
+def test_claim_needs_the_same_benchmark(bench_pairs, monkeypatch, tmp_path):
+    # a claim compares programs, so both sides must run identical benchmark code
+    base = checkouts(bench_pairs, monkeypatch, tmp_path, head_run="RUN = 2\n")
+    # compiled files and their folders are not the benchmark
+    (base / "perfbench" / "__pycache__").mkdir()
+    (base / "perfbench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"\x00")
+    fake_runs(bench_pairs, monkeypatch, [2.0, 2.1] * 5, [1.0, 1.1] * 5)
+    record = bench_pairs.pairs(base, "stability-scan", list(range(10)), 1.0, "wall_s")
+    digests = record["bench_digest"]
+    assert digests["base"] != digests["head"]
+    assert record["claim"]["head_wins"] == 10
+    assert record["claim"]["same_bench"] is False
+    assert record["claim"]["met"] is False
+    # the same run.py on both sides gives one digest, whatever __pycache__ holds
+    (tmp_path / "head" / "perfbench" / "run.py").write_text("RUN = 1\n")
+    assert bench_pairs.bench_digest(base) == bench_pairs.bench_digest(tmp_path / "head")
 
 
 def test_machine_records_numpy_simd_dispatch(bench_pairs):

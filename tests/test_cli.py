@@ -18,13 +18,13 @@ from qlsplit.cli import (
     EXIT_REFERENCE,
     ExperimentConfig,
     _COMMANDS,
-    _IC_KINDS,
+    _build_ic,
     _config_from_args,
     build_parser,
     main,
     parse_config,
 )
-from qlsplit.model import Gaussian, InitialCondition, ModelSpec
+from qlsplit.model import Gaussian, InitialCondition, ModelSpec, MultiMode
 from qlsplit.spectral import GridSpec, h1_seminorm, l2_norm
 from qlsplit.splitting import StepperConfig, run_simulation
 from qlsplit.stability import gn_eigenvalues
@@ -33,7 +33,6 @@ from qlsplit.stability import gn_eigenvalues
 POPULATED = ExperimentConfig(
     model="thin_film",
     n_points=512,
-    ic_kind="multi_mode",
     amplitude=0.65,
     wavenumbers=(2, 8),
     t_final=0.15,
@@ -139,21 +138,53 @@ class TestValidation:
 
     @pytest.mark.parametrize("source", ["flag", "json"])
     def test_plane_wave_ic_kind_is_unknown(self, tmp_path, capsys, source):
-        # a plane wave is the multi_mode of one wavenumber; it has no second spelling
+        # a plane wave is the multi-mode start of one wavenumber, and the start
+        # is inferred from the shape field: no ic_kind spells it
         if source == "flag":
-            argv = ["simulate", *SMALL_RUN, "--ic-kind", "plane_wave", "--wavenumber", "1"]
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", *SMALL_RUN, "--ic-kind", "plane_wave",
+                      "--output", str(tmp_path / "r")])
+            assert exc.value.code == EXIT_CONFIG
+            assert "unrecognized arguments: --ic-kind plane_wave" in capsys.readouterr().err
         else:
-            cfg = ExperimentConfig(n_points=64, n_steps=10, t_final=0.01, ic_kind="plane_wave")
-            argv = ["simulate", "--config", write_config(tmp_path, cfg)]
-        assert main([*argv, "--output", str(tmp_path / "r")]) == EXIT_CONFIG
-        assert ("unknown ic_kind 'plane_wave'; choose from ['gaussian', 'multi_mode']"
-                in capsys.readouterr().err)
+            path = tmp_path / "config.json"
+            path.write_text('{"ic_kind": "plane_wave", "wavenumbers": [1]}')
+            argv = ["simulate", *SMALL_RUN, "--config", str(path)]
+            assert main([*argv, "--output", str(tmp_path / "r")]) == EXIT_CONFIG
+            assert "unknown config keys: ['ic_kind']" in capsys.readouterr().err
         assert not list(tmp_path.glob("r*"))
 
-    def test_one_ic_kind_per_initial_condition_class(self):
-        classes = [kind for kind, _ in _IC_KINDS.values()]
+    @pytest.mark.parametrize("command, name, value", [
+        ("converge", "ic_kind", "multi_mode"), ("planewave-check", "wavenumber", 1),
+    ])
+    def test_inferred_fields_are_unknown(self, tmp_path, capsys, command, name, value):
+        # the start's class and the carrier come from wavenumbers; neither old
+        # spelling is a flag or a config key, and no flag may be abbreviated
+        flag = "--" + name.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, str(value), "--output", str(tmp_path / "r")])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({name: value}))
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert f"unknown config keys: ['{name}']" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r*"))
+
+    def test_one_shape_field_per_initial_condition_class(self):
+        # wavenumbers shapes a MultiMode start, width (when wavenumbers is
+        # unset) a Gaussian one: each class is reached from one field only
+        shapes = {"width": ["--width", "0.5"],
+                  "wavenumbers": ["--wavenumbers", "1,2", "--width", "none"]}
+        starts = {shape: _build_ic(config_from_argv(["simulate", "--amplitude", "0.3", *argv]))
+                  for shape, argv in shapes.items()}
+        assert starts == {"width": Gaussian(0.3, 0.5), "wavenumbers": MultiMode(0.3, (1, 2))}
+        classes = [type(start) for start in starts.values()]
         assert len(set(classes)) == len(classes)
         assert set(classes) == set(typing.get_args(InitialCondition))
+        # the width default does not hide a multi-mode start
+        assert _build_ic(config_from_argv(["simulate", "--wavenumbers", "3"])) == MultiMode(
+            0.2, (3,))
 
     def test_unwritable_output(self, tmp_path):
         cfg = ExperimentConfig(output="/no/such/dir/run")
@@ -223,7 +254,7 @@ SMALL_RUN = ["--n-points", "64", "--n-steps", "10", "--t-final", "0.01"]
 LADDER = ["--nt-ladder", "10,20", "--reference-n-steps", "80", "--t-final", "0.01"]
 GROWTH = ["stability", "--amplitude-grid", "0.5,0.9", "--growth-tau", "1e-4",
           "--growth-wavenumbers", "1,2"]
-PLANE_WAVE_NO_MODE = ["planewave-check", "--wavenumber", "1", "--n-points", "64",
+PLANE_WAVE_NO_MODE = ["planewave-check", "--wavenumbers", "1", "--n-points", "64",
                       "--n-steps", "10", "--t-final", "0.01"]
 PLANE_WAVE = [*PLANE_WAVE_NO_MODE, "--perturbation-mode", "2"]
 # the unperturbed march deviates by 1.9e-14 here; its roundoff swamps smaller seeds
@@ -243,9 +274,14 @@ PLANE_WAVE_200 = [*PLANE_WAVE, "--n-steps", "200", "--t-final", "0.2"]
                  id="stability-odd-n-points"),
     *[pytest.param(["converge", "--n-points", "64", *LADDER, "--nt-ladder", ladder], None,
                    id=f"converge-nt-ladder-{ladder}") for ladder in ("10,10", "0,10")],
-    pytest.param(["simulate", *SMALL_RUN, "--ic-kind", "sech"], None, id="unknown-ic-kind"),
-    pytest.param(["simulate", *SMALL_RUN, "--ic-kind", "multi_mode"], None,
+    pytest.param(["simulate", *SMALL_RUN], '{"ic_kind": "sech"}', id="unknown-ic-kind"),
+    # an empty list is given, and a MultiMode needs at least one wavenumber
+    pytest.param(["simulate", *SMALL_RUN, "--wavenumbers", ""], None,
                  id="multi-mode-without-wavenumbers"),
+    pytest.param(["simulate", *SMALL_RUN, "--width", "none"], None,
+                 id="simulate-without-shape-field"),
+    *[pytest.param(["simulate", "--n-points", str(n)], None, id=f"simulate-n-points-{n}")
+      for n in (2**63, 2**63 - 2)],
     # a perturbation amplitude without a mode used to be dropped silently
     pytest.param(["simulate", *SMALL_RUN, "--perturbation-amplitude", "0.5"], None,
                  id="simulate-perturbation-amplitude-without-mode"),
@@ -280,7 +316,7 @@ PLANE_WAVE_200 = [*PLANE_WAVE, "--n-steps", "200", "--t-final", "0.2"]
                     "1" + "0" * zeros], None, id=f"scan-xi-max-square-overflow-{zeros}")
       for zeros in (2470, 3000)],
     pytest.param(PLANE_WAVE_NO_MODE, None, id="planewave-no-perturbation-mode"),
-    pytest.param([*PLANE_WAVE, "--wavenumber", "40"], None,
+    pytest.param([*PLANE_WAVE, "--wavenumbers", "40"], None,
                  id="planewave-unrepresentable-wavenumber"),
     # m = k seeds the carrier's own amplitude, no sideband
     pytest.param([*PLANE_WAVE, "--perturbation-mode", "1",
@@ -339,19 +375,20 @@ PLANE_WAVE_200 = [*PLANE_WAVE, "--n-steps", "200", "--t-final", "0.2"]
     pytest.param(["simulate", *SMALL_RUN], '{"n_points": 1' + "0" * 5000 + "}",
                  id="json-int-beyond-digit-limit"),
     pytest.param(["planewave-check", "--n-points", "64", "--amplitude", "0.5",
-                  "--wavenumber", "1", "--n-steps", "100", "--t-final", "0.1",
-                  "--perturbation-mode", "2", "--ic-kind", "multi_mode",
+                  "--wavenumbers", "1", "--n-steps", "100", "--t-final", "0.1",
+                  "--perturbation-mode", "2", "--width", "0.5",
                   "--snapshot-times", "0.05", "--blowup-factor", "1.01"], None,
                  id="planewave-unread-fields"),
-    pytest.param(["simulate", "--n-points", "64", "--ic-kind", "multi_mode",
+    pytest.param(["simulate", "--n-points", "64",
                   "--wavenumbers", "1,2", "--width", "0.5", "--amplitude", "0.1",
                   "--n-steps", "10", "--t-final", "0.01"], None,
                  id="simulate-unread-shape-field"),
-    pytest.param(["converge", "--n-points", "64", "--ic-kind", "multi_mode",
+    pytest.param(["converge", "--n-points", "64",
                   "--wavenumbers", "1,2", "--width", "0.5", "--amplitude", "0.1",
                   *LADDER], None,
                  id="converge-unread-shape-field"),
-    pytest.param(["simulate", *SMALL_RUN, "--wavenumber", "3"], None,
+    # wavenumber is no config key; a Gaussian start's carrier was never read
+    pytest.param(["simulate", *SMALL_RUN], '{"wavenumber": 3}',
                  id="gaussian-unread-wavenumber"),
     # none unsets only X | None fields
     pytest.param(["simulate", *SMALL_RUN, "--amplitude", "none"], None,
@@ -386,7 +423,7 @@ def test_malformed_input_is_config_error(tmp_path, capsys, argv, config):
 def test_command_table_covers_every_field():
     # a field that no subcommand reads, or a misspelt name, fails here
     fields = set(HINTS)
-    named = {shape for _, shape in _IC_KINDS.values()}
+    named = set()
     for command, (_, required, reads) in _COMMANDS.items():
         assert set(required) | set(reads) <= fields, command
         named |= set(required) | set(reads)
@@ -433,7 +470,7 @@ class TestSimulate:
     def test_blowup_exit_code_and_sidecar(self, tmp_path):
         out = str(tmp_path / "blow")
         cfg = ExperimentConfig(
-            n_points=256, ic_kind="multi_mode", amplitude=0.65,
+            n_points=256, amplitude=0.65,
             wavenumbers=(2, 8), width=None, n_steps=500, t_final=0.01,
             blowup_factor=1.8, record_every=50, output=out,
             # a seed, not roundoff, sets the onset (see test_splitting)
@@ -459,7 +496,7 @@ class TestSimulate:
         assert (tmp_path / "off.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_unset_shape_field_of_another_kind_passes(self, tmp_path):
-        rc = main(["simulate", "--n-points", "64", "--ic-kind", "multi_mode",
+        rc = main(["simulate", "--n-points", "64",
                    "--wavenumbers", "1,2", "--width", "none", "--amplitude", "0.1",
                    "--n-steps", "10", "--t-final", "0.01",
                    "--output", str(tmp_path / "mm")])
@@ -543,13 +580,32 @@ class TestConverge:
         ]
         for i, fields in enumerate(configs):
             out = str(tmp_path / f"exact{i}")
-            cfg = ExperimentConfig(n_points=64, ic_kind="multi_mode",
-                                   nt_ladder=(10, 20, 40), output=out, **fields)
+            cfg = ExperimentConfig(n_points=64, nt_ladder=(10, 20, 40), output=out,
+                                   **fields)
             rc = main(["converge", "--config", write_config(tmp_path, cfg)])
             assert rc == EXIT_OK, fields
             summary = json.loads(Path(out + "_orders.json").read_text())
             assert summary["order_l2"] is None
             assert "roundoff" in summary["notice"]
+
+    def test_wavenumbers_give_a_multi_mode_start(self, tmp_path, monkeypatch):
+        # the reference and every rung start from MultiMode(a, (1, 2))
+        starts = []
+        monkeypatch.setattr("qlsplit.cli.run_simulation",
+                            lambda model, ic, *rest: starts.append(ic)
+                            or run_simulation(model, ic, *rest))
+        rc = main(["converge", "--n-points", "64", "--amplitude", "0.1",
+                   "--wavenumbers", "1,2", *LADDER, "--output", str(tmp_path / "mm")])
+        assert rc == EXIT_OK
+        assert starts == [MultiMode(0.1, (1, 2))] * 3
+
+    @pytest.mark.parametrize("command, run", [("simulate", SMALL_RUN), ("converge", LADDER)])
+    def test_width_beside_wavenumbers_is_named(self, tmp_path, capsys, command, run):
+        rc = main([command, "--n-points", "64", *run, "--wavenumbers", "1,2",
+                   "--width", "0.5", "--output", str(tmp_path / "mm")])
+        assert rc == EXIT_CONFIG
+        assert f"{command} does not read width; unset them" in capsys.readouterr().err
+        assert not list(tmp_path.glob("mm*"))
 
     def test_ladder_requires_reference_above(self, tmp_path):
         cfg = ExperimentConfig(
@@ -785,7 +841,7 @@ class TestPlanewaveCheck:
     def test_exactness_and_report(self, tmp_path):
         out = str(tmp_path / "pw")
         cfg = ExperimentConfig(
-            n_points=64, amplitude=0.5, wavenumber=1,
+            n_points=64, amplitude=0.5, wavenumbers=(1,),
             n_steps=200, t_final=0.2, perturbation_mode=2, output=out,
         )
         rc = main(["planewave-check", "--config", write_config(tmp_path, cfg)])
@@ -803,7 +859,7 @@ class TestPlanewaveCheck:
         # criterion 5's run; below the threshold a single-exponential seed
         # swings to 1.164e3 times its energy and reads as growth
         rc = main(["planewave-check", "--n-points", "256", "--amplitude", amplitude,
-                   "--wavenumber", "0", "--perturbation-mode", "126",
+                   "--wavenumbers", "0", "--perturbation-mode", "126",
                    "--n-steps", "8000", "--t-final", "0.016",
                    "--output", str(tmp_path / "pw")])
         assert rc == EXIT_OK
@@ -822,8 +878,7 @@ class TestPlanewaveCheck:
         assert not list(tmp_path.glob("pw*"))
 
     @pytest.mark.parametrize("flag, value", [
-        ("--ic-kind", "multi_mode"), ("--width", "0.5"), ("--wavenumbers", "1,2"),
-        ("--snapshot-times", "0.005"), ("--record-every", "5"),
+        ("--width", "0.5"), ("--snapshot-times", "0.005"), ("--record-every", "5"),
         ("--blowup-factor", "1.01"), ("--energy-guard-factor", "10"),
     ])
     def test_rejects_unread_fields(self, tmp_path, capsys, flag, value):
@@ -834,7 +889,7 @@ class TestPlanewaveCheck:
         assert not list(tmp_path.glob("pw*"))
 
     def test_unread_fields_at_their_defaults_pass(self, tmp_path):
-        rc = main([*PLANE_WAVE, "--ic-kind", "gaussian", "--width", "0.2",
+        rc = main([*PLANE_WAVE, "--width", "0.2",
                    "--record-every", "100", "--output", str(tmp_path / "pw")])
         assert rc == EXIT_OK
         # or they may be unset
@@ -846,11 +901,11 @@ class TestPlanewaveCheck:
         # self-paired sideband k - N/2; the carrier k = 0 does not
         run = ["planewave-check", "--n-points", "256", "--amplitude", "0.7070067811865475",
                "--n-steps", "8000", "--t-final", "0.016", "--output", str(tmp_path / "pw")]
-        rc = main([*run, "--wavenumber", "1", "--perturbation-mode", "21"])
+        rc = main([*run, "--wavenumbers", "1", "--perturbation-mode", "21"])
         assert rc == EXIT_CONFIG
         assert "wave train deviates by 0.18 of its own L2 norm" in capsys.readouterr().err
         assert not list(tmp_path.glob("pw*"))
-        rc = main([*run, "--wavenumber", "0", "--perturbation-mode", "20"])
+        rc = main([*run, "--wavenumbers", "0", "--perturbation-mode", "20"])
         assert rc == EXIT_OK
         report = json.loads((tmp_path / "pw_planewave.json").read_text())
         assert report["perturbation_energy_growth"] == pytest.approx(1.0, abs=5e-4)
@@ -865,13 +920,25 @@ class TestPlanewaveCheck:
         assert "perturbed march turned non-finite" in capsys.readouterr().out
         assert not list(tmp_path.glob("pw*"))
 
-    def test_requires_wavenumber(self, tmp_path):
+    def test_requires_wavenumber(self, tmp_path, capsys):
         cfg = ExperimentConfig(
             n_points=64, amplitude=0.5, n_steps=200, t_final=0.2,
             perturbation_mode=2, output=str(tmp_path / "x"),
         )
         rc = main(["planewave-check", "--config", write_config(tmp_path, cfg)])
         assert rc == EXIT_CONFIG
+        assert "planewave_check requires wavenumbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("wavenumbers, message", [
+        ("", "planewave_check requires wavenumbers"),
+        ("1,2", "planewave_check takes its carrier from wavenumbers, which must have "
+                "exactly one entry, got [1, 2]"),
+    ], ids=["zero", "two"])
+    def test_carrier_is_one_wavenumber(self, tmp_path, capsys, wavenumbers, message):
+        rc = main([*PLANE_WAVE, "--wavenumbers", wavenumbers, "--output", str(tmp_path / "pw")])
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("pw*"))
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -64,6 +64,18 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(n)
 
+    # np.arange made an empty node array of 2**63, and of 2**63 - 2 within intp
+    @pytest.mark.parametrize("n", [2**63, 2**63 - 2, np.uint64(2**63),
+                                   np.iinfo(np.intp).max // 16 + 1])
+    def test_rejects_sizes_no_array_can_hold(self, n):
+        limit = np.iinfo(np.intp).max // 16
+        with pytest.raises(ValueError, match=f"n_points must be even, >= 8 and <= {limit}, "):
+            GridSpec(n)
+
+    def test_largest_size_constructs_lazily(self):
+        # the nodes are built on first use, so the bound itself is a valid grid
+        assert GridSpec(np.iinfo(np.intp).max // 16 - 1).n_points % 2 == 0
+
     def test_rejects_non_integer_size(self):
         with pytest.raises(TypeError, match="n_points must be an integer"):
             GridSpec(64.0)
