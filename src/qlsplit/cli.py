@@ -40,6 +40,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import typing
 from dataclasses import dataclass
@@ -498,6 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command in _COMMANDS:
         p = sub.add_parser(command.replace("_", "-"), allow_abbrev=False)  # no prefixes
+        p._negative_number_matcher = re.compile(r"-\.?\d")  # -2e-1, -1e-3,0.5: values too
         p.add_argument("--config", help="path to a JSON experiment config")
         for f in dataclasses.fields(ExperimentConfig):
             # lists are comma-separated, booleans true/false (1/0, yes/no, on/off)

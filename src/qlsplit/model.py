@@ -71,7 +71,8 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Deterministic single-mode seed added to an initial condition."""
+    """Seed of mode m and amplitude eps: ``build_initial_condition`` adds eps e^{imx}, and
+    ``planewave_deviation`` reads it as the modulus seed (a + eps cos((m - k) x)) e^{ikx}."""
 
     mode: int
     amplitude: float = 1e-10
@@ -148,5 +149,5 @@ def build_initial_condition(ic: InitialCondition, grid: GridSpec) -> np.ndarray:
         raise TypeError(f"unknown initial condition type {type(ic).__name__}")
     if ic.perturbation is not None:
         _check_mode(ic.perturbation.mode, grid, "perturbation mode")
-        u = u + ic.perturbation.amplitude * np.exp(1j * ic.perturbation.mode * x)
+        u = u + ic.perturbation.amplitude * exact_plane_wave(1.0, ic.perturbation.mode, 0.0, grid)
     return u

@@ -92,21 +92,18 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def _filter_weights(
-    grid: GridSpec, mollify_eps: float | None, dealias: bool
-) -> np.ndarray | None:
-    """0/1 spectral weights: the cutoff |k| <= 1/eps times the 2/3 mask.
+def _filter_weights(grid: GridSpec, mollify_eps: float | None, dealias: bool) -> np.ndarray:
+    """0/1 spectral weights W: the cutoff |k| <= 1/eps times the 2/3 mask.
 
-    The 2/3 rule keeps |k| <= floor(N/3).  None when no mode is removed.
+    The 2/3 rule keeps |k| <= floor(N/3).  W is all ones when no mode is cut.
     """
     kabs = np.abs(grid.wavenumbers)
     keep = np.ones(grid.n_points, dtype=bool)
     if mollify_eps is not None:
-        _check_positive("mollify_eps", mollify_eps)
         keep &= kabs <= 1.0 / float(mollify_eps)  # float: 1/eps = inf, unwarned, keeps every mode
     if dealias:
         keep &= kabs <= grid.n_points // 3
-    return None if keep.all() else keep.astype(np.float64)
+    return keep.astype(np.float64)
 
 
 def _power(raw: np.ndarray, weights: np.ndarray | float = 1.0) -> float:

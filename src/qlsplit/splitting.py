@@ -154,9 +154,9 @@ class _StepKernel:
         self.half_kick = np.exp(-1j * grid._k_squared * (tau / 2.0))
         weights = _filter_weights(grid, mollify_eps, dealias)
         # W is 0 or 1, so W * half_kick cuts and flies each mode exactly
-        self.flight = self.half_kick if weights is None else weights * self.half_kick
+        self.flight = weights * self.half_kick
         self.krasny_delta = krasny_delta
-        mult = 1.0 if weights is None else weights[: n // 2 + 1]
+        mult = weights[: n // 2 + 1]
         # f(s) = g(s) = s, as in every preset: V = s + sign * s_xx, so the
         # potential and its filter are one multiplier W * (1 - sign * k^2)
         self._linear = model.f_coeffs == model.g_coeffs == (0.0, 1.0)
@@ -207,18 +207,16 @@ class _StepKernel:
             f = f * self.half_kick
 
 
-def nonlinear_phase_step(
-    model: ModelSpec, u: np.ndarray, tau: float, mollify_eps: float | None = None
-) -> np.ndarray:
+def nonlinear_phase_step(model: ModelSpec, u: np.ndarray, tau: float) -> np.ndarray:
     """Exact flow of the nonlinear sub-equation: u -> u * exp(-i tau V[u]).
 
     The potential V is frozen at the input amplitude (which the flow itself
     conserves nodewise), so the map is a pure pointwise phase rotation.
-    With ``mollify_eps`` set, the frequency cutoff is applied to V.
     ``tau`` (N/2)^2 must be finite; zero and negative steps are valid.
+    A run's ``StepperConfig.mollify_eps`` cuts V in its kick; this flow never does.
     """
     s = u.real**2 + u.imag**2
-    kernel = _StepKernel(_grid(u), model, tau, mollify_eps)
+    kernel = _StepKernel(_grid(u), model, tau)
     return u * kernel.phase(s)
 
 

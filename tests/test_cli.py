@@ -93,6 +93,9 @@ class TestConfigRoundTrip:
 
     @pytest.mark.parametrize("flag, text, expected", [
         ("--amplitude", ".5", 0.5),
+        # argparse took a negative number in exponent form for an option
+        ("--amplitude", "-2e-1", -0.2),
+        ("--perturbation-amplitude", "-1e-6", -1e-6),
         ("--n-steps", "20", 20),
         ("--nt-ladder", "10,20,", (10, 20)),
         ("--snapshot-times", "0,.5,", (0.0, 0.5)),
@@ -418,6 +421,13 @@ def test_malformed_input_is_config_error(tmp_path, capsys, argv, config):
     assert main(argv) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.glob("r*"))
+
+
+def test_negative_exponent_list_item_reaches_the_library(tmp_path, capsys):
+    # argparse took -1e-3,0.5 for an option and exited with its own usage message
+    argv = ["stability", "--amplitude-grid", "-1e-3,0.5", "--output", str(tmp_path / "r")]
+    assert main(argv) == EXIT_CONFIG
+    assert "carrier amplitude must be finite and >= 0" in capsys.readouterr().err
 
 
 def test_command_table_covers_every_field():

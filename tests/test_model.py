@@ -1,5 +1,7 @@
 """Model family, potential evaluation, exact solutions, initial data."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -205,6 +207,24 @@ class TestInitialConditions:
         idx = {k: i for i, k in enumerate(grid.wavenumbers)}
         assert c[idx[5]] == pytest.approx(1e-6, rel=1e-10)
         assert c[idx[1]] == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("n_points", [8, 64, 4096])
+    def test_perturbation_samples_through_exact_plane_wave(self, n_points):
+        # bit for bit, signed zeros included, the seed eps e^{imx} is the unit
+        # wave train's sample and the direct np.exp sample it replaced
+        grid = GridSpec(n_points)
+        for start in (Gaussian(0.2, 0.3), MultiMode(0.5, (0, 1))):
+            base = build_initial_condition(start, grid)
+            for m in (0, 1, -3, n_points // 2 - 1):
+                wave = exact_plane_wave(1.0, m, 0.0, grid)
+                for eps in (1e-10, -0.3, 0.0, -0.0, 1e160):
+                    seeded = dataclasses.replace(start, perturbation=Perturbation(m, eps))
+                    u = build_initial_condition(seeded, grid)
+                    for expected in (base + eps * wave, base + eps * np.exp(1j * m * grid.nodes)):
+                        assert u.tobytes() == expected.tobytes(), (start, m, eps)
+        seeded = MultiMode(0.5, (1,), perturbation=Perturbation(-(n_points // 2)))
+        with pytest.raises(ValueError, match="perturbation mode"):
+            build_initial_condition(seeded, grid)
 
     def test_validation(self, grid):
         # 2 width^2 overflows at 1e200 and underflows to 0 at 1e-300

@@ -33,8 +33,6 @@ def free_flight(f, t):
 def filtered(f, eps=None, dealias=False):
     """f with the step's filter weights applied to its spectrum."""
     weights = _filter_weights(GridSpec(len(f)), eps, dealias)
-    if weights is None:
-        return f
     return np.fft.ifft(weights * np.fft.fft(f))
 
 
@@ -219,19 +217,14 @@ class TestMollifier:
             assert l2_norm(filtered(f, eps)) <= l2_norm(f) * (1 + 1e-12)
 
     def test_cutoff_is_floor_of_inverse_eps(self, grid):
-        # |k| <= 1/eps keeps the integers |k| <= floor(1/eps); None keeps all
+        # |k| <= 1/eps keeps the integers |k| <= floor(1/eps); no cutoff keeps all
         kabs = np.abs(grid.wavenumbers)
         n = grid.n_points
         for eps in (1.0, 0.5, 1 / 3, 0.2, 4 / n, 2 / n):
             weights = _filter_weights(grid, eps, False)
-            got = np.ones(n) if weights is None else weights
-            assert np.array_equal(got, kabs <= np.floor(1.0 / eps)), eps
-        assert _filter_weights(grid, 5e-324, False) is None  # 1/eps = inf
-
-    def test_rejects_bad_eps(self, grid):
-        f = random_field(grid, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            filtered(f, 0.0)
+            assert np.array_equal(weights, kabs <= np.floor(1.0 / eps)), eps
+        for eps in (None, 1 / n, 5e-324):  # 1 / 5e-324 = inf
+            assert np.array_equal(_filter_weights(grid, eps, False), np.ones(n)), eps
 
     def test_two_thirds_dealias(self):
         g = GridSpec(64)

@@ -80,6 +80,12 @@ def reference_potential(model, s, grid, weights=None):
     return v
 
 
+def mollified_phase_step(model, u, tau, mollify_eps):
+    """The run's kick with the cutoff: u * exp(-i tau V), V cut to |k| <= 1/eps."""
+    kernel = _StepKernel(GridSpec(len(u)), model, tau, mollify_eps)
+    return u * kernel.phase(u.real**2 + u.imag**2)
+
+
 def half_angle_phase(theta):
     """e^{i theta} from t = tan(theta / 2) and d = 2 / (1 + t^2) = 1 + cos: sin
     is t d, cos is 1 - t sin for |theta| <= pi / 2 and d - 1 beyond.
@@ -153,19 +159,15 @@ class TestNonlinearPhaseStep:
     def test_mollified_potential(self, grid):
         f = random_field(grid, np.random.default_rng(2))
         plain = nonlinear_phase_step(MODEL, f, 0.1)
-        moll = nonlinear_phase_step(MODEL, f, 0.1, mollify_eps=0.3)
+        moll = mollified_phase_step(MODEL, f, 0.1, 0.3)
         assert not np.allclose(plain, moll)
         dev = np.abs(np.abs(moll) - np.abs(f))
         assert dev.max() < 1e-15
-        # the rule StepperConfig applies: inf used to keep only the mean mode
-        for eps in (0.0, -0.3, np.nan, np.inf):
-            with pytest.raises(ValueError, match="mollify_eps must be finite and positive"):
-                nonlinear_phase_step(MODEL, f, 0.1, mollify_eps=eps)
 
     def test_subnormal_numpy_eps_keeps_every_mode(self, grid):
         # 1 / np.float64(5e-324) overflows; the cutoff is inf, without a warning
         f = random_field(grid, np.random.default_rng(3))
-        out = nonlinear_phase_step(MODEL, f, 0.1, mollify_eps=np.float64(5e-324))
+        out = mollified_phase_step(MODEL, f, 0.1, np.float64(5e-324))
         assert np.array_equal(out, nonlinear_phase_step(MODEL, f, 0.1))
 
     @pytest.mark.parametrize("mollify_eps", [None, 0.05, 0.3])
@@ -179,7 +181,10 @@ class TestNonlinearPhaseStep:
             s = u.real**2 + u.imag**2
             v = reference_potential(model, s, grid, reference_weights(grid, mollify_eps))
             for tau in (1e-4, 1e-2, 0.5):
-                out = nonlinear_phase_step(model, u, tau, mollify_eps)
+                if mollify_eps is None:
+                    out = nonlinear_phase_step(model, u, tau)
+                else:
+                    out = mollified_phase_step(model, u, tau, mollify_eps)
                 assert np.array_equal(out, u * half_angle_phase(-tau * v))
 
 
@@ -266,8 +271,16 @@ class TestStatelessKernel:
     def test_cutoff_beyond_float_range_keeps_every_mode(self, grid):
         # 1/eps = inf: the cutoff removes nothing
         f = random_field(grid, np.random.default_rng(42))
-        assert np.array_equal(nonlinear_phase_step(MODEL, f, 0.1, mollify_eps=1e-320),
+        assert np.array_equal(mollified_phase_step(MODEL, f, 0.1, 1e-320),
                               nonlinear_phase_step(MODEL, f, 0.1))
+
+    def test_unfiltered_kernel_cuts_nothing(self, grid):
+        # W is all ones: the trailing flight is the half kick bit for bit, and
+        # a model whose multiplier is all ones makes no filter pass
+        for model in MODELS:
+            kernel = _StepKernel(grid, model, 0.1)
+            assert kernel.flight.tobytes() == kernel.half_kick.tobytes()
+        assert _StepKernel(grid, MODELS[3], 0.1)._v_mult is None
 
 
 class TestRealFFTPotential:
@@ -428,12 +441,12 @@ class TestStepperConfigValidation:
                 StepperConfig(tau=tau)
 
     def test_rejects_bad_filters(self):
-        with pytest.raises(ValueError):
-            StepperConfig(tau=1e-3, mollify_eps=-1.0)
+        # the config is the one place the cutoff is checked: inf used to keep
+        # only the mean mode, and 0 divided by zero
         with pytest.raises(ValueError):
             StepperConfig(tau=1e-3, krasny_delta=1.5)
-        for eps in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="mollify_eps"):
+        for eps in (0.0, -0.3, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="mollify_eps must be finite and positive"):
                 StepperConfig(tau=1e-3, mollify_eps=eps)
 
     def test_rejects_bad_guards(self):
