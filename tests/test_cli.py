@@ -93,9 +93,6 @@ class TestConfigRoundTrip:
 
     @pytest.mark.parametrize("flag, text, expected", [
         ("--amplitude", ".5", 0.5),
-        # argparse took a negative number in exponent form for an option
-        ("--amplitude", "-2e-1", -0.2),
-        ("--perturbation-amplitude", "-1e-6", -1e-6),
         ("--n-steps", "20", 20),
         ("--nt-ladder", "10,20,", (10, 20)),
         ("--snapshot-times", "0,.5,", (0.0, 0.5)),
@@ -103,6 +100,9 @@ class TestConfigRoundTrip:
         *[("--dealias", word, False) for word in ("0", "False", "no", "off")],
         *[("--mollify-eps", word, None) for word in ("none", "None", "NONE")],
         ("--width", "none", None),
+        # argparse took a negative number in exponent form for an option
+        ("--amplitude", "-2e-1", -0.2),
+        ("--perturbation-amplitude", "-1e-6", -1e-6),
     ])
     def test_flag_spellings(self, flag, text, expected):
         cfg = config_from_argv(["simulate", flag, text])
