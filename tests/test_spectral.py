@@ -226,6 +226,12 @@ class TestMollifier:
         for eps in (None, 1 / n, 5e-324):  # 1 / 5e-324 = inf
             assert np.array_equal(_filter_weights(grid, eps, False), np.ones(n)), eps
 
+    def test_rejects_bad_eps(self):
+        # a run sets its cutoff through StepperConfig, which rejects eps = 0
+        # before any weights are built
+        with pytest.raises(ValueError, match="mollify_eps must be finite and positive"):
+            StepperConfig(tau=1e-3, mollify_eps=0.0)
+
     def test_two_thirds_dealias(self):
         g = GridSpec(64)
         f = random_field(g, np.random.default_rng(12))
