@@ -23,7 +23,9 @@ no more operations than the base's, and both sides ran the same benchmark.
 `bench_digest` holds each side's SHA-256 over `BENCHMARK.json` and every
 file under `perfbench/` but `__pycache__`, by relative path; a claim
 whose digests differ is not met.  A claim needs at least 10 pairs;
-`--claim` with fewer seeds exits 2 before any run.  `--control` runs a
+`--claim` with fewer seeds exits 2 before any run, as do a `--claim` that
+is no end-to-end metric of BENCHMARK.json and a `--workload` or
+`--control` that perfbench/workloads.py does not define.  `--control` runs a
 second workload the same way, with no claim, under the key "control"
 (it needs its own `--control-seeds`), and
 `--kernel` adds `benchmarks/bench_kernel.py`'s microseconds per step of
@@ -68,6 +70,16 @@ def bench_digest(checkout: Path) -> str:
         name = path.relative_to(checkout).as_posix().encode()
         digest.update(name + b"\0" + hashlib.sha256(path.read_bytes()).digest())
     return digest.hexdigest()
+
+
+def defined_workloads() -> set[str]:
+    """The workload names of perfbench/workloads.py, which imports only the standard library."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return set(workloads.WORKLOADS)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -169,8 +181,16 @@ def main() -> int:
     args = parser.parse_args()
     if (args.control is None) != (args.control_seeds is None):
         parser.error("--control and --control-seeds must be given together")
+    if args.claim is not None and args.claim not in END_TO_END:
+        parser.error(f"--claim {args.claim!r} is not an end-to-end metric of "
+                     f"BENCHMARK.json ({', '.join(END_TO_END)})")
     if args.claim is not None and len(args.seeds) < CLAIM_PAIRS:
         parser.error(f"--claim needs at least {CLAIM_PAIRS} seeds, got {len(args.seeds)}")
+    workloads = defined_workloads()
+    for flag, name in (("--workload", args.workload), ("--control", args.control)):
+        if name is not None and name not in workloads:
+            parser.error(f"{flag} {name!r} is not a workload of perfbench/workloads.py "
+                         f"({', '.join(sorted(workloads))})")
     provenance = commits(parser, args.base)
 
     report = {"change": args.change,

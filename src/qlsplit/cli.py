@@ -253,7 +253,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     series = (rec.times, rec.max_amplitude, rec.mass, rec.energy, rec.min_ellipticity)
     _write_csv(cfg.output + ".csv", ["t", "max_amp", "mass", "energy", "min_ellipticity"],
                [list(map(repr, column.tolist())) for column in series])
-    x = GridSpec(cfg.n_points).nodes.tolist()
+    x = GridSpec(cfg.n_points).nodes.tolist() if rec.snapshots else []  # read by snapshots only
     for i, (t, u) in enumerate(rec.snapshots):
         # scalar abs per value: vectorised np.abs differs from it in the last bit
         _write_csv(f"{cfg.output}_snapshot_{i:03d}.csv", ["x", "re_u", "im_u", "abs_u"],

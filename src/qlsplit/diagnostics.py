@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
-from .model import ModelSpec
+from .model import ModelSpec, _descending
 from .spectral import _grid, _power, h1_seminorm, l2_norm
 
 __all__ = [
@@ -40,9 +39,9 @@ def energy(u: np.ndarray, model: ModelSpec) -> float:
     k2 = grid._k2_paired
     s = u.real**2 + u.imag**2
     e = 0.5 * _power(np.fft.fft(u), k2)
-    e += 0.5 * grid.spacing * float(np.sum(P.polyval(s, P.polyint(model.f_coeffs))))
+    e += 0.5 * grid.spacing * float(np.sum(np.polyval(np.polyint(_descending(model.f_coeffs)), s)))
     if model.quasilinear_sign != 0:
-        g_raw = np.fft.fft(P.polyval(s, model.g_coeffs))
+        g_raw = np.fft.fft(np.polyval(_descending(model.g_coeffs), s))
         e -= model.quasilinear_sign * 0.25 * _power(g_raw, k2)
     return e
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .spectral import GridSpec
 
@@ -67,6 +66,11 @@ class ModelSpec:
     def cubic_nls(cls) -> "ModelSpec":
         """f(s) = s with the quasilinear term switched off."""
         return cls(quasilinear_sign=0)
+
+
+def _descending(coeffs: tuple[float, ...]) -> np.ndarray:
+    """Ascending ``ModelSpec`` coefficients in the descending order of ``np.polyval``."""
+    return np.array(coeffs[::-1])
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,7 @@ def exact_plane_wave(a: float, k: int, t: float, grid: GridSpec,
     """Wave train a*exp(i(kx - omega t)) of the model, omega = k^2 + f(a^2)."""
     _check_mode(k, grid, "plane-wave wavenumber")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite phase raises below
-        phase = (k * k + P.polyval(a * a, model.f_coeffs)) * t
+        phase = (k * k + np.polyval(_descending(model.f_coeffs), a * a)) * t
     if not np.isfinite(phase):
         raise ValueError(f"plane-wave phase (k^2 + f(a^2)) t is not finite at a = {a}, t = {t}")
     return a * np.exp(1j * (k * grid.nodes - phase))

@@ -34,8 +34,18 @@ def fake_runs(bench_pairs, monkeypatch, base, head, head_failed=0):
     (["--seeds", "1-2", "--control-seeds", "3-4"], "must be given together"),
     (["--seeds", "5-3"], "no seeds in '5-3'"),
     (["--seeds", "1-3", "--claim", "work_per_s"], "--claim needs at least 10 seeds, got 3"),
+    # a misspelt claim or workload used to fail only after the pairs had run
+    (["--seeds", "1-10", "--claim", "peak_rss"],
+     "--claim 'peak_rss' is not an end-to-end metric"),
+    (["--seeds", "1-10", "--claim", "splitting.step_us"],
+     "--claim 'splitting.step_us' is not an end-to-end metric"),
+    (["--seeds", "1-2", "--workload", "blowup-n512"],
+     "--workload 'blowup-n512' is not a workload"),
+    (["--seeds", "1-2", "--control", "stabilty-scan", "--control-seeds", "3-4"],
+     "--control 'stabilty-scan' is not a workload"),
 ], ids=["control-without-seeds", "seeds-without-control", "empty-range",
-        "claim-under-ten-pairs"])
+        "claim-under-ten-pairs", "claim-not-end-to-end", "claim-per-layer",
+        "unknown-workload", "unknown-control"])
 def test_bad_seeds_rejected_before_any_run(bench_pairs, monkeypatch, tmp_path, capsys,
                                            argv, error):
     def run_once(*args):

@@ -1,10 +1,13 @@
-"""The package namespace and the library modules' ``__all__`` agree, and
-every benchmark tracer target resolves."""
+"""The package namespace and the library modules' ``__all__`` agree, every
+benchmark tracer target resolves, and the CLI's import loads no numpy
+subpackage beyond numpy core."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -94,6 +97,24 @@ def test_cli_is_a_client_of_the_public_library():
     assert not [name for name in classes
                 if isinstance(getattr(cli, name), type)
                 and issubclass(getattr(cli, name), BaseException)]
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    # the model's polynomials are numpy core's polyval, polyder and polyint;
+    # numpy.polynomial loads nine modules.  numpy 1.x imports it with numpy
+    # itself, so only what the import of qlsplit adds is counted
+    child = (
+        "import sys, numpy\n"
+        "def loaded():\n"
+        "    return {m for m in sys.modules if m.split('.')[:2] == ['numpy', 'polynomial']}\n"
+        "before = loaded()\n"
+        "import qlsplit.cli\n"
+        "print(sorted(loaded() - before))\n"
+    )
+    src = str(Path(qlsplit.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n"
+                          + child], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def load_spans():

@@ -18,6 +18,7 @@ from qlsplit import (
     l2_norm,
     run_simulation,
 )
+from qlsplit.spectral import _grid, _power
 from qlsplit.splitting import _StepKernel
 
 from conftest import spectral_derivative, spectrum
@@ -316,3 +317,77 @@ class TestEllipticityIndicator:
                              StepperConfig(tau=1e-3, record_every=10), 0.05)
         expected = 1 - 2 * rec.max_amplitude**2
         assert np.abs(rec.min_ellipticity - expected).max() <= 1e-15
+
+
+# models whose f and g the library evaluates as polynomials; the presets
+# evaluate f, g and g' only in records and the plane wave, not in the kick
+POLYNOMIAL_MODELS = {
+    "f-s-half-s2-g-s-0.3s2": ModelSpec(f_coeffs=(0, 1, 0.5), g_coeffs=(0, 1, 0.3)),
+    "g-1-0-3-2": ModelSpec(g_coeffs=(1, 0, 3, 2)),
+    "constant-g": ModelSpec(g_coeffs=(2.0,)),
+    "constant-g-minus": ModelSpec(g_coeffs=(2.0,), quasilinear_sign=-1),
+}
+BIT_MODELS = {**POLYNOMIAL_MODELS, "pseudo-attractive": ModelSpec.pseudo_attractive(),
+              "thin-film": ModelSpec.thin_film(), "cubic": ModelSpec.cubic_nls()}
+
+
+def energy_by_numpy_polynomial(u, model):
+    """``energy`` with F = polyint(f) and g evaluated by numpy.polynomial."""
+    grid = _grid(u)
+    s = u.real**2 + u.imag**2
+    e = 0.5 * _power(np.fft.fft(u), grid._k2_paired)
+    e += 0.5 * grid.spacing * float(np.sum(P.polyval(s, P.polyint(model.f_coeffs))))
+    if model.quasilinear_sign != 0:
+        g_raw = np.fft.fft(P.polyval(s, model.g_coeffs))
+        e -= model.quasilinear_sign * 0.25 * _power(g_raw, grid._k2_paired)
+    return e
+
+
+class TestPolynomialBits:
+    """Every polynomial evaluation of the library, bit for bit the
+    numpy.polynomial spelling of ascending coefficients."""
+
+    @pytest.mark.parametrize("model", POLYNOMIAL_MODELS.values(), ids=POLYNOMIAL_MODELS)
+    def test_kick_potential(self, model):
+        # an overflowed s = inf included: numpy core's g' of a constant g is the
+        # empty polynomial, 0 at inf where numpy.polynomial's (0.0,) reads NaN,
+        # but the Laplacian it multiplies is NaN there too
+        rng = np.random.default_rng(11)
+        for n, overflow in ((64, False), (4096, False), (64, True)):
+            grid = GridSpec(n)
+            s = 10.0 ** rng.uniform(-8, 1, n)
+            if overflow:
+                s[5] = np.inf
+            kernel = _StepKernel(grid, model, 1e-3)
+            assert not kernel._linear and kernel._v_mult is None
+            with np.errstate(invalid="ignore"):
+                v = P.polyval(s, model.f_coeffs)
+                if model.quasilinear_sign != 0:
+                    g = P.polyval(s, model.g_coeffs)
+                    lap = np.fft.irfft(kernel.neg_k2 * np.fft.rfft(g), n)
+                    v = v + model.quasilinear_sign * P.polyval(s, P.polyder(model.g_coeffs)) * lap
+                assert kernel.potential(s).tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("model", BIT_MODELS.values(), ids=BIT_MODELS)
+    def test_run_records(self, model):
+        # a snapshot at every record keeps the state each record evaluated
+        grid, tau, n_steps = GridSpec(64), 1e-3, 20
+        cfg = StepperConfig(tau=tau, record_every=5,
+                            snapshot_times=tuple(n * tau for n in range(0, n_steps + 1, 5)))
+        rec = run_simulation(model, Gaussian(0.5, 0.5), grid, cfg, n_steps * tau)
+        assert not rec.blew_up and len(rec.snapshots) == len(rec.times) == 5
+        gprime = P.polyder(model.g_coeffs)
+        for row, (t, u) in enumerate(rec.snapshots):
+            assert t == rec.times[row]
+            s = u.real**2 + u.imag**2
+            ell = 1.0 - 2.0 * model.quasilinear_sign * s * P.polyval(s, gprime) ** 2
+            assert rec.min_ellipticity[row].tobytes() == ell.min().tobytes()
+            assert rec.energy[row].tobytes() == np.float64(
+                energy_by_numpy_polynomial(u, model)).tobytes()
+
+    @pytest.mark.parametrize("model", BIT_MODELS.values(), ids=BIT_MODELS)
+    def test_plane_wave(self, grid, model):
+        for a, k, t in ((0.5, 1, 0.75), (1.7, -3, 2.5e-3), (0.0, 2, 1.0), (1e50, 0, 1e-160)):
+            omega = k * k + P.polyval(a * a, model.f_coeffs)
+            expected = a * np.exp(1j * (k * grid.nodes - omega * t))
+            assert exact_plane_wave(a, k, t, grid, model).tobytes() == expected.tobytes()
