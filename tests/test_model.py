@@ -326,6 +326,9 @@ POLYNOMIAL_MODELS = {
     "g-1-0-3-2": ModelSpec(g_coeffs=(1, 0, 3, 2)),
     "constant-g": ModelSpec(g_coeffs=(2.0,)),
     "constant-g-minus": ModelSpec(g_coeffs=(2.0,), quasilinear_sign=-1),
+    # no quasilinear term: the kick's V is f(s) alone, not swamped by a Laplacian
+    "f-s-half-s2-cubic": ModelSpec(f_coeffs=(0, 1, 0.5), g_coeffs=(0, 1, 0.3),
+                                   quasilinear_sign=0),
 }
 BIT_MODELS = {**POLYNOMIAL_MODELS, "pseudo-attractive": ModelSpec.pseudo_attractive(),
               "thin-film": ModelSpec.thin_film(), "cubic": ModelSpec.cubic_nls()}
@@ -349,14 +352,17 @@ class TestPolynomialBits:
 
     @pytest.mark.parametrize("model", POLYNOMIAL_MODELS.values(), ids=POLYNOMIAL_MODELS)
     def test_kick_potential(self, model):
-        # an overflowed s = inf included: numpy core's g' of a constant g is the
-        # empty polynomial, 0 at inf where numpy.polynomial's (0.0,) reads NaN,
-        # but the Laplacian it multiplies is NaN there too
+        # rough, smooth (a Laplacian of order one) and overflowed s; at s = inf
+        # numpy core's g' of a constant g is the empty polynomial, 0 where
+        # numpy.polynomial's (0.0,) reads NaN, but the Laplacian it multiplies
+        # is NaN there too
         rng = np.random.default_rng(11)
-        for n, overflow in ((64, False), (4096, False), (64, True)):
+        for n, kind in ((64, "rough"), (4096, "rough"), (256, "smooth"), (64, "inf")):
             grid = GridSpec(n)
             s = 10.0 ** rng.uniform(-8, 1, n)
-            if overflow:
+            if kind == "smooth":
+                s = 0.6 + 0.3 * np.sin(grid.nodes) + 0.05 * np.cos(3 * grid.nodes)
+            elif kind == "inf":
                 s[5] = np.inf
             kernel = _StepKernel(grid, model, 1e-3)
             assert not kernel._linear and kernel._v_mult is None
@@ -387,7 +393,9 @@ class TestPolynomialBits:
 
     @pytest.mark.parametrize("model", BIT_MODELS.values(), ids=BIT_MODELS)
     def test_plane_wave(self, grid, model):
-        for a, k, t in ((0.5, 1, 0.75), (1.7, -3, 2.5e-3), (0.0, 2, 1.0), (1e50, 0, 1e-160)):
+        # at k = 0 and t = 1 the phase is f(a^2) itself: a last-bit change shows
+        for a, k, t in ((0.5, 1, 0.75), (1.7, -3, 2.5e-3), (1.3, 0, 1.0), (0.0, 2, 1.0),
+                        (1e50, 0, 1e-160)):
             omega = k * k + P.polyval(a * a, model.f_coeffs)
             expected = a * np.exp(1j * (k * grid.nodes - omega * t))
             assert exact_plane_wave(a, k, t, grid, model).tobytes() == expected.tobytes()
