@@ -87,8 +87,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         [sys.executable, str(checkout / "perfbench" / "run.py"),
          "--workload", workload, "--seed", str(seed),
          "--seconds", repr(seconds), "--trace", "0"],
-        check=True, capture_output=True, text=True, cwd=checkout,
-    )
+        check=True, stdout=subprocess.PIPE, text=True, cwd=checkout,
+    )  # the child's stderr, its tracebacks and failed checks, reaches the terminal
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 

@@ -103,7 +103,7 @@ class ExperimentConfig:
     perturbation_mode: int | None = None
     perturbation_amplitude: float = 1e-10
     t_final: float = 0.7853981633974483
-    n_steps: int = 1000
+    n_steps: int = 8000
     mollify_eps: float | None = None
     krasny_delta: float | None = None
     dealias: bool = False

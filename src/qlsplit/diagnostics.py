@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ModelSpec, _descending
+from .model import ModelSpec
 from .spectral import _grid, _power, h1_seminorm, l2_norm
 
 __all__ = [
@@ -39,9 +39,9 @@ def energy(u: np.ndarray, model: ModelSpec) -> float:
     k2 = grid._k2_paired
     s = u.real**2 + u.imag**2
     e = 0.5 * _power(np.fft.fft(u), k2)
-    e += 0.5 * grid.spacing * float(np.sum(np.polyval(np.polyint(_descending(model.f_coeffs)), s)))
+    e += 0.5 * grid.spacing * float(np.sum(np.polyval(model._F, s)))
     if model.quasilinear_sign != 0:
-        g_raw = np.fft.fft(np.polyval(_descending(model.g_coeffs), s))
+        g_raw = np.fft.fft(np.polyval(model._g, s))
         e -= model.quasilinear_sign * 0.25 * _power(g_raw, k2)
     return e
 

@@ -34,7 +34,9 @@ class ModelSpec:
     """Nonlinearity selection for the quasilinear Schrodinger family.
 
     ``f_coeffs`` and ``g_coeffs`` are polynomial coefficients in s = |u|^2,
-    ascending order, each nonempty and finite.
+    ascending order, each nonempty and finite.  The model derives f, g,
+    g' and F = integral of f once, as read-only arrays ``_f``, ``_g``,
+    ``_gprime`` and ``_F`` in the descending order of ``np.polyval``.
     """
 
     f_coeffs: tuple[float, ...] = (0.0, 1.0)
@@ -51,6 +53,10 @@ class ModelSpec:
             if not (coeffs and np.isfinite(coeffs).all()):
                 raise ValueError(f"{name} must be nonempty and finite, got {coeffs}")
             object.__setattr__(self, name, coeffs)
+        f, g = np.array(self.f_coeffs[::-1]), np.array(self.g_coeffs[::-1])
+        for name, p in (("_f", f), ("_g", g), ("_gprime", np.polyder(g)), ("_F", np.polyint(f))):
+            p.setflags(write=False)
+            object.__setattr__(self, name, p)
 
     @classmethod
     def pseudo_attractive(cls) -> "ModelSpec":
@@ -66,11 +72,6 @@ class ModelSpec:
     def cubic_nls(cls) -> "ModelSpec":
         """f(s) = s with the quasilinear term switched off."""
         return cls(quasilinear_sign=0)
-
-
-def _descending(coeffs: tuple[float, ...]) -> np.ndarray:
-    """Ascending ``ModelSpec`` coefficients in the descending order of ``np.polyval``."""
-    return np.array(coeffs[::-1])
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ def exact_plane_wave(a: float, k: int, t: float, grid: GridSpec,
     """Wave train a*exp(i(kx - omega t)) of the model, omega = k^2 + f(a^2)."""
     _check_mode(k, grid, "plane-wave wavenumber")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite phase raises below
-        phase = (k * k + np.polyval(_descending(model.f_coeffs), a * a)) * t
+        phase = (k * k + np.polyval(model._f, a * a)) * t
     if not np.isfinite(phase):
         raise ValueError(f"plane-wave phase (k^2 + f(a^2)) t is not finite at a = {a}, t = {t}")
     return a * np.exp(1j * (k * grid.nodes - phase))

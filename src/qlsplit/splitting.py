@@ -24,7 +24,6 @@ from .model import (
     ModelSpec,
     Perturbation,
     _check_mode,
-    _descending,
     build_initial_condition,
     exact_plane_wave,
 )
@@ -148,8 +147,6 @@ class _StepKernel:
         if not math.isfinite(float(tau) * (n // 2) ** 2):  # the resonance number; NaN fails
             raise ValueError(f"tau must be finite, and tau (N/2)^2 too, got {tau} at N = {n}")
         self.model = model
-        self._f, self._g = _descending(model.f_coeffs), _descending(model.g_coeffs)
-        self._gprime = np.polyder(self._g)
         self.tau = tau
         self.neg_k2 = -grid._k_squared[: n // 2 + 1]  # rfft half spectrum, Nyquist kept
         self.half_kick = np.exp(-1j * grid._k_squared * (tau / 2.0))
@@ -169,10 +166,10 @@ class _StepKernel:
         """f(s) + sign * g'(s) * (g(s))_xx for s = |u|^2, filtered by the weights."""
         v, m = s, self.model
         if not self._linear:
-            v = np.polyval(self._f, s)
+            v = np.polyval(m._f, s)
             if m.quasilinear_sign != 0:
-                lap = np.fft.irfft(self.neg_k2 * np.fft.rfft(np.polyval(self._g, s)), len(s))
-                v = v + m.quasilinear_sign * np.polyval(self._gprime, s) * lap
+                lap = np.fft.irfft(self.neg_k2 * np.fft.rfft(np.polyval(m._g, s)), len(s))
+                v = v + m.quasilinear_sign * np.polyval(m._gprime, s) * lap
         if self._v_mult is not None:
             v = np.fft.irfft(self._v_mult * np.fft.rfft(v), len(s))
         return v
@@ -308,7 +305,7 @@ def run_simulation(
 
     def record(t: float, u: np.ndarray, amp: float) -> float:
         s = u.real**2 + u.imag**2
-        ell = 1.0 - 2.0 * model.quasilinear_sign * s * np.polyval(kernel._gprime, s) ** 2
+        ell = 1.0 - 2.0 * model.quasilinear_sign * s * np.polyval(model._gprime, s) ** 2
         e = diagnostics.energy(u, model)
         rows.append((t, amp, diagnostics.mass(u), e, float(ell.min())))
         return e

@@ -1,6 +1,7 @@
 """benchmarks/bench_pairs.py: argument rules and the per-metric summary."""
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -155,3 +156,22 @@ def test_base_outside_git_rejected_before_any_run(monkeypatch, tmp_path, capsys,
     err = capsys.readouterr().err
     assert "not inside a git work tree" in err and "git clone" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("code", [0, 1], ids=["passing", "failing"])
+def test_child_stderr_reaches_the_terminal(bench_pairs, tmp_path, capfd, code):
+    # the child's stderr used to be captured and dropped: a failing child
+    # raised without its traceback, a passing one hid its failed checks
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "print('stability-scan: check failed: fake', file=sys.stderr)\n"
+        "print('{\"failed\": 1}')\n"
+        f"sys.exit({code})\n"
+    )
+    if code:
+        with pytest.raises(subprocess.CalledProcessError):
+            bench_pairs.run_once(tmp_path, "stability-scan", 1, 1.0)
+    else:
+        assert bench_pairs.run_once(tmp_path, "stability-scan", 1, 1.0) == {"failed": 1}
+    assert "stability-scan: check failed: fake" in capfd.readouterr().err

@@ -847,6 +847,24 @@ def test_extreme_float_flags_end_in_an_exit_code(tmp_path, flag, value):
     assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_BLOWUP)
 
 
+class TestDefaultStep:
+    """Every field but the wavenumber at its default: T = pi/4 in 8000 steps
+    at N = 256 keeps tau (N/2)^2 = 1.61 below the resonance pi.  At 1000
+    steps (12.9) a default simulate blew the energy up from 0.128 to 730."""
+
+    @pytest.mark.parametrize("model", ["pseudo_attractive", "thin_film"])
+    def test_simulate_conserves_energy(self, tmp_path, model):
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--wavenumbers", "1", "--model", model,
+                     "--output", out]) == EXIT_OK
+        energy = [float(row[3]) for row in read_csv(out + ".csv")[1:]]
+        assert max(abs(e - energy[0]) for e in energy) <= 1e-9 * abs(energy[0])
+
+    def test_planewave_check_passes(self, tmp_path):
+        assert main(["planewave-check", "--wavenumbers", "1", "--perturbation-mode", "3",
+                     "--output", str(tmp_path / "pw")]) == EXIT_OK
+
+
 class TestPlanewaveCheck:
     def test_exactness_and_report(self, tmp_path):
         out = str(tmp_path / "pw")

@@ -99,6 +99,22 @@ def test_cli_is_a_client_of_the_public_library():
                 and issubclass(getattr(cli, name), BaseException)]
 
 
+def test_model_spec_owns_the_derived_polynomials():
+    # ModelSpec derives f, g, g' and F = integral of f once; no other module
+    # differentiates or integrates them, and none flips the coefficients itself
+    derives, descending = set(), set()
+    for path in Path(qlsplit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # an attribute, a name, a def or an imported alias
+            names = {getattr(node, field, None) for field in ("attr", "id", "name")}
+            if {"polyder", "polyint"} & names:
+                derives.add(path.name)
+            if "_descending" in names:
+                descending.add(path.name)
+    assert derives == {"model.py"}
+    assert descending == set()
+
+
 def test_cli_import_loads_no_numpy_polynomial():
     # the model's polynomials are numpy core's polyval, polyder and polyint;
     # numpy.polynomial loads nine modules.  numpy 1.x imports it with numpy

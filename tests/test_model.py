@@ -14,6 +14,7 @@ from qlsplit import (
     Perturbation,
     StepperConfig,
     build_initial_condition,
+    energy,
     exact_plane_wave,
     l2_norm,
     run_simulation,
@@ -65,7 +66,7 @@ class TestModelSpec:
         assert ModelSpec.cubic_nls().quasilinear_sign == 0
 
     def test_gprime_derived_exactly(self):
-        # g' is derived from g by the step kernel, never given
+        # g' is derived from g by the model, never given
         with pytest.raises(TypeError):
             ModelSpec(gprime_coeffs=(1.0,))
 
@@ -399,3 +400,59 @@ class TestPolynomialBits:
             omega = k * k + P.polyval(a * a, model.f_coeffs)
             expected = a * np.exp(1j * (k * grid.nodes - omega * t))
             assert exact_plane_wave(a, k, t, grid, model).tobytes() == expected.tobytes()
+
+
+class TestDerivedPolynomials:
+    """``ModelSpec`` derives f, g, g' and F = integral of f once, for every caller."""
+
+    def test_no_caller_derives_again(self, grid, monkeypatch):
+        calls = []
+        for name in ("polyder", "polyint"):
+            def counted(*args, _derive=getattr(np, name), _name=name):
+                calls.append(_name)
+                return _derive(*args)
+            monkeypatch.setattr(np, name, counted)
+        model = ModelSpec(f_coeffs=(0, 1, 0.5), g_coeffs=(0, 1, 0.3))
+        assert sorted(calls) == ["polyder", "polyint"]  # the counter sees the one derivation
+        calls.clear()
+        cfg = StepperConfig(tau=1e-3, record_every=5)
+        rec = run_simulation(model, Gaussian(0.5, 0.5), grid, cfg, 20 * cfg.tau)
+        u = exact_plane_wave(0.5, 1, 0.25, grid, model)
+        energies = [energy(u, model), energy(2 * u, model)]
+        assert len(rec.times) == 5 and np.isfinite(energies).all()
+        assert calls == []
+
+    def test_replace_carries_the_new_gprime(self, grid):
+        # the kick potential and the ellipticity minimum read the new g',
+        # bit for bit the numpy.polynomial spelling
+        old = ModelSpec(f_coeffs=(0, 1, 0.5), g_coeffs=(0, 1, 0.3))
+        model = dataclasses.replace(old, g_coeffs=(1, 0, 3, 2))
+        gprime = P.polyder(model.g_coeffs)
+        s = 0.6 + 0.3 * np.sin(grid.nodes)
+        kernel = _StepKernel(grid, model, 1e-3)
+        lap = np.fft.irfft(kernel.neg_k2 * np.fft.rfft(P.polyval(s, model.g_coeffs)), len(s))
+        v = P.polyval(s, model.f_coeffs) + P.polyval(s, gprime) * lap
+        assert kernel.potential(s).tobytes() == v.tobytes()
+        cfg = StepperConfig(tau=1e-3, record_every=5, snapshot_times=(0.0, 5e-3))
+        rec = run_simulation(model, Gaussian(0.5, 0.5), grid, cfg, 5e-3)
+        for row, (_, u) in enumerate(rec.snapshots):
+            s = u.real**2 + u.imag**2
+            ell = 1.0 - 2.0 * s * P.polyval(s, gprime) ** 2
+            assert rec.min_ellipticity[row].tobytes() == ell.min().tobytes()
+        assert old._gprime.tolist() == [0.6, 1.0]
+
+    @pytest.mark.parametrize("name", ["_f", "_g", "_gprime", "_F"])
+    def test_derived_arrays_are_read_only(self, name):
+        array = getattr(ModelSpec.pseudo_attractive(), name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7.0
+
+    def test_fields_repr_eq_and_hash_are_the_inputs(self):
+        model = ModelSpec(f_coeffs=(0, 1, 0.5))
+        assert [f.name for f in dataclasses.fields(model)] == [
+            "f_coeffs", "g_coeffs", "quasilinear_sign"]
+        assert repr(model) == ("ModelSpec(f_coeffs=(0.0, 1.0, 0.5), g_coeffs=(0.0, 1.0), "
+                               "quasilinear_sign=1)")
+        assert model == ModelSpec(f_coeffs=(0.0, 1.0, 0.5)) != ModelSpec()
+        assert hash(model) == hash(((0.0, 1.0, 0.5), (0.0, 1.0), 1))
+        assert {ModelSpec(): "preset"}[ModelSpec.pseudo_attractive()] == "preset"
