@@ -435,6 +435,7 @@ class TestDerivedPolynomials:
         assert kernel.potential(s).tobytes() == v.tobytes()
         cfg = StepperConfig(tau=1e-3, record_every=5, snapshot_times=(0.0, 5e-3))
         rec = run_simulation(model, Gaussian(0.5, 0.5), grid, cfg, 5e-3)
+        assert len(rec.snapshots) == len(rec.times) == 2
         for row, (_, u) in enumerate(rec.snapshots):
             s = u.real**2 + u.imag**2
             ell = 1.0 - 2.0 * s * P.polyval(s, gprime) ** 2
